@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .chardata import (
     ParseError,
+    TableSlice,
     ValidationError,
     mixed_value_decomposition,
     psl2_slice,
@@ -30,7 +31,7 @@ from .constructions import (
     valenti_search,
     verify_unit_group,
 )
-from .finitefield import square_lines
+from .finitefield import NotPrime, square_lines
 from .helpengine import feasible_distributions
 from .oracle import cached_group, check_square_criterion, enumerate_group
 from .patterns import gap_report, group_patterns
@@ -71,9 +72,19 @@ def _parse_pattern(text: str, parser) -> set[int]:
         parser.error(f"bad --pattern {text!r}: expected comma-separated integers")
 
 
+def _psl2_table(p: int, parser) -> TableSlice:
+    try:
+        return psl2_slice(p)
+    except ValueError as exc:
+        parser.error(f"--p {p}: {exc}")
+
+
 def cmd_chartab(args, parser) -> int:
     t0 = time.monotonic()
-    table = psl33_slice() if args.group == "psl33" else psl2_slice(args.p)
+    if args.group == "psl33":
+        table = psl33_slice()
+    else:
+        table = _psl2_table(args.p, parser)
     ortho = validate_orthogonality(table)
     result = {"table": table.to_json(), "orthogonality": ortho}
     report = _run_report(
@@ -91,7 +102,7 @@ def cmd_help_scan(args, parser) -> int:
     else:
         if args.p is None:
             parser.error("--p is required with --group psl2")
-        table = psl2_slice(args.p)
+        table = _psl2_table(args.p, parser)
         scan = feasible_distributions(list(table.chars), args.p, 2, ("c", "d"))
         expected = [(args.p + 1) // 2]
     result = scan.to_json()
@@ -139,7 +150,10 @@ def cmd_construct(args, parser) -> int:
 
 def cmd_patterns(args, parser) -> int:
     t0 = time.monotonic()
-    result = gap_report(args.p)
+    try:
+        result = gap_report(args.p)
+    except NotPrime as exc:
+        parser.error(f"--p {args.p}: {exc}")
     if not args.list_missing:
         result.pop("missing", None)
     report = _run_report(

@@ -4,14 +4,25 @@ The units are presented as exact block-diagonal matrices in the one or two
 Wedderburn components whose characters separate the two order-p classes;
 everywhere else their character values are forced by the support
 hypothesis (partial augmentations vanish off the order-p classes), so no
-other component needs to be materialized.  Verification recovers every
-element's partial augmentations from its character profile and checks
-group structure, integrality and class counts.
+other component needs to be materialized.
+
+Every block of every generator is a power of one base matrix for that
+block: the companion matrix A of Phi_p (E = A^0, and B = A^2 for PSL(3,3))
+or I_1 for the trivial block.  A group is therefore stored as exponent
+vectors: one exact power table [M^0, ..., M^(p-1)] per distinct base M,
+and for each generator the exponent of every block.  Elements and their
+traces are read off the tables; nothing is multiplied out per element.
+Verification proves with real matrix products the premises that make the
+exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
+the representation faithful), then recovers every element's partial
+augmentations from its character profile and checks integrality and class
+counts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,65 +45,110 @@ class BadPattern(Exception):
 MAX_PRIME = 13
 
 
-@dataclass(frozen=True)
-class BlockUnit:
-    """Blocks in the distinguished components plus forced values elsewhere."""
-
-    components: dict[str, BlockDiag]
-    forced_values: dict[str, Fraction]
-
-
 @dataclass
 class UnitGroup:
+    """An elementary-abelian p-group of block-diagonal units.
+
+    `bases` gives, per component, the base matrix of each block, and
+    `generator_exponents` gives, per generator and component, the exponent
+    of each block's base.  Element (e_1, ..., e_r) has block exponents
+    sum_i e_i * k_ij mod p, so its blocks are entries of the power tables
+    and its trace is a sum of table traces.  The tables are built by real
+    `QMatrix` products; that the exponents may be read mod p (M^p = I) and
+    that the generators are non-trivial, commute and act faithfully is
+    what `verify_unit_group` proves, so an inconsistent presentation makes
+    the verification fail rather than the elements silently wrong.
+    """
+
     table: TableSlice
     p: int
-    rank: int
     support: tuple[str, str]
     distinguished: dict[str, str]  # component name -> character row name
     generator_names: list[str]
-    elements: dict[tuple[int, ...], dict[str, BlockDiag]] = field(
-        default_factory=dict
-    )
+    bases: dict[str, tuple[QMatrix, ...]]
+    generator_exponents: list[dict[str, tuple[int, ...]]]
     pattern: frozenset[int] | None = None
+    powers: dict[QMatrix, list[QMatrix]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        shape = {c: len(blocks) for c, blocks in self.bases.items()}
+        for gen in self.generator_exponents:
+            if {c: len(ks) for c, ks in gen.items()} != shape:
+                raise ValueError("generator exponents do not match the blocks")
+        self.powers = {}
+        for blocks in self.bases.values():
+            for base in blocks:
+                if base not in self.powers:
+                    tab = [QMatrix.identity(base.dim)]
+                    for _ in range(self.p - 1):
+                        tab.append(tab[-1] * base)
+                    self.powers[base] = tab
+        traces = {base: [m.trace() for m in tab]
+                  for base, tab in self.powers.items()}
+        # per component, the power table and its traces for each block
+        self._tables = {c: [self.powers[b] for b in blocks]
+                        for c, blocks in self.bases.items()}
+        self._traces = {c: [traces[b] for b in blocks]
+                        for c, blocks in self.bases.items()}
+
+    @property
+    def rank(self) -> int:
+        return len(self.generator_exponents)
+
+    def block_exponents(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        out = {}
+        for c in self.bases:
+            columns = zip(*(gen[c] for gen in self.generator_exponents))
+            out[c] = tuple(sum(e * k for e, k in zip(exps, col)) % self.p
+                           for col in columns)
+        return out
+
+    def element(self, exps: tuple[int, ...]) -> dict[str, BlockDiag]:
+        """The element's blocks per component, taken from the power tables."""
+        return {
+            c: BlockDiag(tab[k] for tab, k in zip(self._tables[c], ks))
+            for c, ks in self.block_exponents(exps).items()
+        }
+
+    def traces(self, exps: tuple[int, ...]) -> dict[str, Fraction]:
+        """Per-component traces: sums of the power tables' traces."""
+        return {
+            c: sum(trace[k] for trace, k in zip(self._traces[c], ks))
+            for c, ks in self.block_exponents(exps).items()
+        }
+
+    @property
+    def elements(self) -> Mapping[tuple[int, ...], dict[str, BlockDiag]]:
+        return _Elements(self)
 
     @property
     def generators(self) -> list[dict[str, BlockDiag]]:
-        basis = []
-        for i in range(self.rank):
-            exp = tuple(1 if j == i else 0 for j in range(self.rank))
-            basis.append(self.elements[exp])
-        return basis
+        return [
+            self.element(tuple(1 if j == i else 0 for j in range(self.rank)))
+            for i in range(self.rank)
+        ]
 
     def order(self) -> int:
         return len(self.elements)
 
 
-def _power_cache(block_gens: dict[str, BlockDiag], p: int):
-    cache = {}
-    for name, g in block_gens.items():
-        powers = [BlockDiag(QMatrix.identity(b.dim) for b in g.blocks)]
-        for _ in range(p - 1):
-            powers.append(powers[-1] * g)
-        cache[name] = powers
-    return cache
+class _Elements(Mapping):
+    """Exponent vector -> element, assembled from the power tables on access."""
 
+    def __init__(self, ug: UnitGroup) -> None:
+        self._ug = ug
 
-def _materialize(generators: list[dict[str, BlockDiag]], p: int,
-                 rank: int) -> dict[tuple[int, ...], dict[str, BlockDiag]]:
-    comp_names = generators[0].keys()
-    caches = [
-        _power_cache(gen, p) for gen in generators
-    ]
-    elements = {}
-    for exps in itertools.product(range(p), repeat=rank):
-        comp = {}
-        for name in comp_names:
-            acc = caches[0][name][exps[0]]
-            for i in range(1, rank):
-                acc = acc * caches[i][name][exps[i]]
-            comp[name] = acc
-        elements[exps] = comp
-    return elements
+    def __getitem__(self, exps) -> dict[str, BlockDiag]:
+        ug = self._ug
+        if len(exps) != ug.rank or not all(0 <= e < ug.p for e in exps):
+            raise KeyError(exps)
+        return ug.element(exps)
+
+    def __iter__(self):
+        return itertools.product(range(self._ug.p), repeat=self._ug.rank)
+
+    def __len__(self) -> int:
+        return self._ug.p ** self._ug.rank
 
 
 def build_psl2_units(p: int, pattern) -> UnitGroup:
@@ -112,17 +168,15 @@ def build_psl2_units(p: int, pattern) -> UnitGroup:
             f"pattern must be a subset of 1..{p - 1} of size {(p - 1) // 2}"
         )
     table = psl2_slice(p)
+    half = (p + 1) // 2
     A = companion_cyclotomic(p)
-    E = QMatrix.identity(p - 1)
-    one = QMatrix.identity(1)
-    u = BlockDiag([one, E] + [A ** ((-i) % p) for i in sorted(members)])
-    v = BlockDiag([one] + [A] * ((p + 1) // 2))
-    generators = [{"eta": u}, {"eta": v}]
-    ug = UnitGroup(
-        table, p, 2, ("c", "d"), {"eta": "eta"}, ["u", "v"],
-        _materialize(generators, p, 2), members,
+    bases = {"eta": (QMatrix.identity(1),) + (A,) * half}
+    u = (0, 0) + tuple((-i) % p for i in sorted(members))
+    v = (0,) + (1,) * half
+    return UnitGroup(
+        table, p, ("c", "d"), {"eta": "eta"}, ["u", "v"], bases,
+        [{"eta": u}, {"eta": v}], members,
     )
-    return ug
 
 
 def build_psl33_units() -> UnitGroup:
@@ -130,19 +184,18 @@ def build_psl33_units() -> UnitGroup:
     distinguished components (degree 12 and degree 16) of PSL(3,3)."""
     table = psl33_slice()
     A = QMatrix([[0, -1], [1, -1]])
-    E = QMatrix.identity(2)
+    power = {"E": 0, "A": 1, "B": 2}
 
-    def blocks(letters: str) -> BlockDiag:
-        pick = {"E": E, "A": A, "B": A * A}
-        return BlockDiag(pick[s] for s in letters)
+    def blocks(letters: str) -> tuple[int, ...]:
+        return tuple(power[s] for s in letters)
 
     alpha = {"chi": blocks("EEEEEA"), "phi": blocks("AAAAAAAA")}
     beta = {"chi": blocks("EEAAAA"), "phi": blocks("EEEAABBB")}
     gamma = {"chi": blocks("EAAEBA"), "phi": blocks("EABEBEAB")}
-    generators = [alpha, beta, gamma]
     return UnitGroup(
-        table, 3, 3, ("a", "b"), {"chi": "chi12", "phi": "chi16a"},
-        ["alpha", "beta", "gamma"], _materialize(generators, 3, 3),
+        table, 3, ("a", "b"), {"chi": "chi12", "phi": "chi16a"},
+        ["alpha", "beta", "gamma"], {"chi": (A,) * 6, "phi": (A,) * 8},
+        [alpha, beta, gamma],
     )
 
 
@@ -168,13 +221,12 @@ def _solve_support_pair(ug: UnitGroup,
 
 def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> CharProfile:
     """Character profile: distinguished traces plus hypothesis-forced values."""
-    comp = ug.elements[exps]
     if not any(exps):
         return CharProfile(
             ug.table, {ch.name: Fraction(ch.degree) for ch in ug.table.chars}
         )
     traces = {
-        ug.distinguished[cname]: comp[cname].trace() for cname in comp
+        ug.distinguished[cname]: t for cname, t in ug.traces(exps).items()
     }
     ea, eb = _solve_support_pair(ug, traces)
     xa, xb = ug.support
@@ -192,20 +244,26 @@ def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], CharProfile]:
 def verify_unit_group(ug: UnitGroup) -> dict:
     """Structural and augmentation checks for a constructed unit group.
 
-    Checks: generators commute and have order p; the distinguished-component
-    representation is faithful (so the group order is p^rank); every
-    nontrivial element has an integral augmentation vector recovered exactly
-    from its profile; per-class counts.
+    Checks: every block base satisfies M^p = I (one product past its power
+    table), so generators have order p unless trivial; generators are
+    non-trivial and commute (real block products); the distinguished-
+    component representation is faithful (so the group order is p^rank);
+    every nontrivial element has an integral augmentation vector recovered
+    exactly from its profile; per-class counts.
     """
     p, rank = ug.p, ug.rank
     problems: list[str] = []
     gens = ug.generators
-    comp_names = list(gens[0].keys())
+    comp_names = list(ug.bases)
+    closes = {base: (tab[p - 1] * base).is_identity()
+              for base, tab in ug.powers.items()}
 
     for i in range(rank):
         for name in comp_names:
-            g = gens[i][name]
-            if not (g ** p).is_identity() or g.is_identity():
+            ks = ug.generator_exponents[i][name]
+            periodic = all(closes[base] or k == 0
+                           for base, k in zip(ug.bases[name], ks))
+            if not periodic or gens[i][name].is_identity():
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not have order {p} in {name}")
         for j in range(i + 1, rank):
@@ -254,8 +312,8 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             {
                 "exponents": list(exps),
                 "traces": {
-                    name: format_rational(ug.elements[exps][name].trace())
-                    for name in comp_names
+                    name: format_rational(t)
+                    for name, t in ug.traces(exps).items()
                 },
                 "aug": aug.to_json(),
                 "integral": integral,
@@ -281,7 +339,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
         recovered = sorted(
             j
             for j in range(1, p)
-            if ug.elements[(1, j % p)]["eta"].trace() == eta.values["c"]
+            if ug.traces((1, j))["eta"] == eta.values["c"]
         )
         report["pattern"] = sorted(ug.pattern)
         report["trace_pattern"] = recovered

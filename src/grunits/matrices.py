@@ -23,7 +23,7 @@ class SignatureMismatch(Exception):
 class QMatrix:
     """A square matrix with exact rational entries."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_hash")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -32,6 +32,7 @@ class QMatrix:
             raise ValueError("matrix must be square")
         self.dim = n
         self.rows = rows
+        self._hash = None
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -44,7 +45,6 @@ class QMatrix:
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.dim != other.dim:
             raise SignatureMismatch("dimension mismatch")
-        n = self.dim
         cols = list(zip(*other.rows))
         return QMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
@@ -74,7 +74,10 @@ class QMatrix:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        # entries never change, and hashing every Fraction is not cheap
+        if self._hash is None:
+            self._hash = hash(self.rows)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"QMatrix({self.dim}x{self.dim})"
@@ -150,15 +153,3 @@ class BlockDiag:
 
     def to_json(self) -> list[list[list[str]]]:
         return [b.to_json() for b in self.blocks]
-
-
-def block_mul(a: BlockDiag, b: BlockDiag) -> BlockDiag:
-    return a * b
-
-
-def block_pow(a: BlockDiag, k: int) -> BlockDiag:
-    return a ** k
-
-
-def block_trace(a: BlockDiag) -> Fraction:
-    return a.trace()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +109,25 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["help-scan", "--group", "psl2", "--p", "9"],
+    ["help-scan", "--group", "psl2", "--p", "2"],
+    ["chartab", "--group", "psl2", "--p", "15"],
+    ["patterns", "--p", "9"],
+    ["patterns", "--p", "2"],
+    ["construct", "psl2", "--p", "9", "--pattern", "1,2,4,5"],
+])
+def test_bad_prime_is_usage_error(argv, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "grunits.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "HOME": str(tmp_path)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_validation_failure_exit_code(tmp_path, monkeypatch):

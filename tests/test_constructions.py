@@ -1,4 +1,5 @@
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from grunits.constructions import (
     valenti_search,
     verify_unit_group,
 )
+from grunits.matrices import BlockDiag, QMatrix, companion_cyclotomic
 from grunits.patterns import group_patterns
 
 
@@ -117,3 +119,93 @@ def test_psl33_epsilon_pattern():
             {"a": "0", "b": "1"}
         assert entry["aug"] == expected
         assert entry["mrsw"]
+
+
+def _psl2_generators(p, members):
+    A = companion_cyclotomic(p)
+    one, E = QMatrix.identity(1), QMatrix.identity(p - 1)
+    u = BlockDiag([one, E] + [A ** ((-i) % p) for i in sorted(members)])
+    v = BlockDiag([one] + [A] * ((p + 1) // 2))
+    return [{"eta": u}, {"eta": v}]
+
+
+def _psl33_generators():
+    A = QMatrix([[0, -1], [1, -1]])
+    pick = {"E": QMatrix.identity(2), "A": A, "B": A * A}
+
+    def blocks(letters):
+        return BlockDiag(pick[s] for s in letters)
+
+    return [
+        {"chi": blocks("EEEEEA"), "phi": blocks("AAAAAAAA")},
+        {"chi": blocks("EEAAAA"), "phi": blocks("EEEAABBB")},
+        {"chi": blocks("EAAEBA"), "phi": blocks("EABEBEAB")},
+    ]
+
+
+def _multiplied_out(generators, p):
+    """Every element u_1^e_1 ... u_r^e_r as explicit block products."""
+    powers = []
+    for gen in generators:
+        row = [{c: BlockDiag(QMatrix.identity(b.dim) for b in g.blocks)
+                for c, g in gen.items()}]
+        for _ in range(p - 1):
+            row.append({c: row[-1][c] * gen[c] for c in gen})
+        powers.append(row)
+    elements = {}
+    for exps in product(range(p), repeat=len(generators)):
+        acc = powers[0][exps[0]]
+        for i in range(1, len(generators)):
+            acc = {c: acc[c] * powers[i][exps[i]][c] for c in acc}
+        elements[exps] = acc
+    return elements
+
+
+def _assert_matches_reference(ug, generators):
+    reference = _multiplied_out(generators, ug.p)
+    assert sorted(ug.elements) == sorted(reference)
+    for exps, comp in reference.items():
+        assert ug.elements[exps] == comp
+        assert ug.traces(exps) == {c: m.trace() for c, m in comp.items()}
+
+
+@pytest.mark.parametrize("p,members", [
+    *((3, set(m)) for m in combinations(range(1, 3), 1)),
+    *((5, set(m)) for m in combinations(range(1, 5), 2)),
+    (7, {1, 2, 4}),
+    (7, {1, 2, 3}),
+])
+def test_psl2_exponent_vectors_match_products(p, members):
+    _assert_matches_reference(build_psl2_units(p, members),
+                              _psl2_generators(p, members))
+
+
+def test_psl33_exponent_vectors_match_products():
+    _assert_matches_reference(build_psl33_units(), _psl33_generators())
+
+
+def test_verify_rejects_trivial_generator():
+    ug = build_psl2_units(5, {1, 2})
+    _u, v = ug.generator_exponents
+    bad = replace(ug, generator_exponents=[{"eta": (0, 0, 0, 0)}, v])
+    report = verify_unit_group(bad)
+    assert "generator u does not have order 5 in eta" in report["problems"]
+    assert not report["ok"]
+
+
+def test_verify_rejects_base_of_wrong_order():
+    ug = build_psl2_units(5, {1, 2})
+    blocks = ug.bases["eta"]
+    # -I has order 2, so exponents of this block cannot be read mod 5
+    bad = replace(ug, bases={"eta": blocks[:-1] + (QMatrix.scalar(4, -1),)})
+    report = verify_unit_group(bad)
+    assert "generator v does not have order 5 in eta" in report["problems"]
+    assert not report["ok"]
+
+
+def test_verify_rejects_equal_generators():
+    ug = build_psl2_units(5, {1, 2})
+    _u, v = ug.generator_exponents
+    report = verify_unit_group(replace(ug, generator_exponents=[v, v]))
+    assert report["faithful"] is False
+    assert report["ok"] is False
