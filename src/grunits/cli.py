@@ -3,7 +3,8 @@
 Every report field is exact (integers or "a/b" strings); the only
 non-deterministic field is wall_clock_s, which callers comparing reports
 should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
-1 a validation failed (the witness is printed), 2 usage error.
+1 a validation failed (the witness is printed), 2 usage error or missing
+data file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .chardata import (
     ParseError,
@@ -33,7 +33,8 @@ from .constructions import (
 )
 from .finitefield import NotPrime, square_lines
 from .helpengine import feasible_distributions
-from .oracle import cached_group, check_square_criterion, enumerate_group
+from .oracle import (TooLarge, cached_group, check_square_criterion,
+                     enumerate_group)
 from .patterns import gap_report, group_patterns
 
 
@@ -171,7 +172,10 @@ def cmd_oracle(args, parser) -> int:
     else:
         if args.q is None:
             parser.error("--q is required with --group psl2")
-        group = enumerate_group("psl2", args.q, refresh=args.refresh)
+        try:
+            group = enumerate_group("psl2", args.q, refresh=args.refresh)
+        except (ValueError, TooLarge) as exc:
+            parser.error(f"--q {args.q}: {exc}")
         p = int(round(args.q ** 0.5))
     classes = group.order_p_classes(p)
     result = {
@@ -189,56 +193,37 @@ def cmd_oracle(args, parser) -> int:
     return _emit(report, args.json)
 
 
-def _invariant_checks(jobs: int) -> list[dict]:
-    def ortho(p):
-        def run():
-            return validate_orthogonality(psl2_slice(p))["ok"]
-        return f"psl2 orthogonality p={p}", run
-
-    def checks():
-        yield ortho(3)
-        yield ortho(5)
-        yield ortho(7)
-        yield ortho(11)
-        yield ortho(13)
-        yield "psl33 orthogonality", lambda: validate_orthogonality(psl33_slice())["ok"]
-        yield "psl33 degree decomposition", lambda: mixed_value_decomposition(
-            psl33_slice(), "a", "b", "chi12", "chi16a"
-        )["ok"]
-        yield "square lines p=7", lambda: square_lines(7) == (4, 4)
-        yield "oracle |PSL(2,9)| = 360", lambda: cached_group("psl2", 9).order == 360
-        yield "oracle |PSL(3,3)| = 5616", lambda: cached_group("psl3", 3).order == 5616
-        yield "square-class conjugacy criterion p=3", lambda: check_square_criterion(3)
-        yield "pattern normalization p=11", lambda: len(group_patterns(11)) <= (11 * 11 - 1) // 2
-        yield (
-            "construct psl2 p=5 {1,2}",
-            lambda: verify_unit_group(build_psl2_units(5, {1, 2}))["ok"],
-        )
-        yield (
-            "construct psl33",
-            lambda: verify_unit_group(build_psl33_units())["ok"],
-        )
-
-    named = list(checks())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda nc: nc[1](), named))
-    else:
-        outcomes = [run() for _name, run in named]
-    return [
-        {"check": name, "ok": bool(ok)}
-        for (name, _run), ok in zip(named, outcomes)
+def _invariant_checks() -> list[dict]:
+    checks = [
+        (f"psl2 orthogonality p={p}",
+         validate_orthogonality(psl2_slice(p))["ok"])
+        for p in (3, 5, 7, 11, 13)
     ]
+    checks += [
+        ("psl33 orthogonality", validate_orthogonality(psl33_slice())["ok"]),
+        ("psl33 degree decomposition", mixed_value_decomposition(
+            psl33_slice(), "a", "b", "chi12", "chi16a")["ok"]),
+        ("square lines p=7", square_lines(7) == (4, 4)),
+        ("oracle |PSL(2,9)| = 360", cached_group("psl2", 9).order == 360),
+        ("oracle |PSL(3,3)| = 5616", cached_group("psl3", 3).order == 5616),
+        ("square-class conjugacy criterion p=3", check_square_criterion(3)),
+        ("pattern normalization p=11",
+         len(group_patterns(11)) <= (11 * 11 - 1) // 2),
+        ("construct psl2 p=5 {1,2}",
+         verify_unit_group(build_psl2_units(5, {1, 2}))["ok"]),
+        ("construct psl33", verify_unit_group(build_psl33_units())["ok"]),
+    ]
+    return [{"check": name, "ok": bool(ok)} for name, ok in checks]
 
 
 def cmd_invariants(args, parser) -> int:
     t0 = time.monotonic()
-    verdicts = _invariant_checks(args.jobs)
+    verdicts = _invariant_checks()
     ok = all(v["ok"] for v in verdicts)
     for v in verdicts:
         print(f"  {'PASS' if v['ok'] else 'FAIL'}  {v['check']}")
     report = _run_report(
-        "invariants", {"jobs": args.jobs}, {"checks": verdicts}, ok, t0
+        "invariants", {}, {"checks": verdicts}, ok, t0
     )
     return _emit(report, args.json)
 
@@ -247,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH",
                         help="write the full JSON report to PATH")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallelism for independent checks")
     parser = argparse.ArgumentParser(
         prog="grunits",
         description="Exact analyses of p-subgroups of units in rational "
@@ -304,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ParseError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except FileNotFoundError as exc:
+        print(f"grunits: error: missing file {exc.filename}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,15 +15,17 @@ traces are read off the tables; nothing is multiplied out per element.
 Verification proves with real matrix products the premises that make the
 exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
 the representation faithful), then recovers every element's partial
-augmentations from its character profile and checks integrality and class
-counts.
+augmentations by one exact solve from augmentation one and the
+distinguished traces, and checks integrality and class counts.  The other
+character values carry no information of their own: `element_profile`
+synthesizes them from the solved augmentations.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .chardata import TableSlice, psl2_slice, psl33_slice
@@ -31,10 +33,12 @@ from .cyclotomic import format_rational
 from .finitefield import fq_make, is_prime
 from .matrices import BlockDiag, QMatrix, companion_cyclotomic
 from .partialaug import (
+    AugVector,
     CharProfile,
     Inconsistent,
     invert_profile,
     mrsw_conjugate_to_group_element,
+    synthesize_profile,
 )
 
 
@@ -69,6 +73,7 @@ class UnitGroup:
     generator_exponents: list[dict[str, tuple[int, ...]]]
     pattern: frozenset[int] | None = None
     powers: dict[QMatrix, list[QMatrix]] = field(init=False)
+    solve_table: TableSlice = field(init=False)
 
     def __post_init__(self) -> None:
         shape = {c: len(blocks) for c, blocks in self.bases.items()}
@@ -90,6 +95,12 @@ class UnitGroup:
                         for c, blocks in self.bases.items()}
         self._traces = {c: [traces[b] for b in blocks]
                         for c, blocks in self.bases.items()}
+        # the support hypothesis forces every other row, so only these
+        # carry information about an element's partial augmentations
+        rows = set(self.distinguished.values())
+        self.solve_table = replace(
+            self.table, chars=[ch for ch in self.table.chars if ch.name in rows]
+        )
 
     @property
     def rank(self) -> int:
@@ -199,42 +210,26 @@ def build_psl33_units() -> UnitGroup:
     )
 
 
-def _solve_support_pair(ug: UnitGroup,
-                        traces: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
-    """Partial augmentations on the support from the distinguished traces."""
-    xa, xb = ug.support
-    rows = [ug.table.char_by_name(name) for name in ug.distinguished.values()]
-    if len(rows) == 1:
-        # one distinguished row: combine with augmentation one
-        r = rows[0]
-        det = r.values[xa] - r.values[xb]
-        t = traces[r.name]
-        ea = (t - r.values[xb]) / det
-        return ea, 1 - ea
-    r1, r2 = rows[:2]
-    det = r1.values[xa] * r2.values[xb] - r1.values[xb] * r2.values[xa]
-    t1, t2 = traces[r1.name], traces[r2.name]
-    ea = (t1 * r2.values[xb] - t2 * r1.values[xb]) / det
-    eb = (r1.values[xa] * t2 - r2.values[xa] * t1) / det
-    return ea, eb
+def solve_element(ug: UnitGroup, exps: tuple[int, ...]) -> AugVector:
+    """Partial augmentations on the support, solved exactly from
+    augmentation one and the element's distinguished traces.
+
+    Raises `Inconsistent` when these equations have no common solution
+    (possible for PSL(3,3), where two traces and augmentation one pin a
+    pair of unknowns).
+    """
+    traces = {ug.distinguished[c]: t for c, t in ug.traces(exps).items()}
+    return invert_profile(CharProfile(ug.solve_table, traces), list(ug.support))
 
 
 def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> CharProfile:
-    """Character profile: distinguished traces plus hypothesis-forced values."""
+    """Character profile on every row, forced by the support hypothesis
+    from the element's partial augmentations."""
     if not any(exps):
         return CharProfile(
             ug.table, {ch.name: Fraction(ch.degree) for ch in ug.table.chars}
         )
-    traces = {
-        ug.distinguished[cname]: t for cname, t in ug.traces(exps).items()
-    }
-    ea, eb = _solve_support_pair(ug, traces)
-    xa, xb = ug.support
-    values = dict(traces)
-    for ch in ug.table.chars:
-        if ch.name not in values:
-            values[ch.name] = ea * ch.values[xa] + eb * ch.values[xb]
-    return CharProfile(ug.table, values)
+    return synthesize_profile(ug.table, solve_element(ug, exps))
 
 
 def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], CharProfile]:
@@ -248,8 +243,10 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     table), so generators have order p unless trivial; generators are
     non-trivial and commute (real block products); the distinguished-
     component representation is faithful (so the group order is p^rank);
-    every nontrivial element has an integral augmentation vector recovered
-    exactly from its profile; per-class counts.
+    every nontrivial element's partial augmentations come from one exact
+    solve of augmentation one and its distinguished traces (`solve_element`),
+    whose inconsistency is reported as a problem; integrality, the MRSW
+    signs and per-class counts are read off that solution.
     """
     p, rank = ug.p, ug.rank
     problems: list[str] = []
@@ -291,9 +288,8 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     for exps in sorted(ug.elements):
         if not any(exps):
             continue
-        profile = element_profile(ug, exps)
         try:
-            aug = invert_profile(profile, list(ug.support))
+            aug = solve_element(ug, exps)
         except Inconsistent as exc:
             problems.append(f"element {exps}: {exc}")
             continue

@@ -313,23 +313,3 @@ def cyclo(n: int, k: int) -> Cyclotomic:
     if n < 1:
         raise ValueError("n must be >= 1")
     return Cyclotomic.from_exponents(n, {k % n: Fraction(1)})
-
-
-def add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a + b
-
-
-def mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def neg(a: Cyclotomic) -> Cyclotomic:
-    return -a
-
-
-def inv(a: Cyclotomic) -> Cyclotomic:
-    return a.inv()
-
-
-def as_rational(a: Cyclotomic) -> Fraction:
-    return a.as_rational()

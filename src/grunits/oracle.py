@@ -5,12 +5,15 @@ matrices over their finite fields, by closure from transvection
 generators.  Orders, exponents and conjugacy classes computed here are the
 oracle against which character slices and the square-class model of the
 Sylow subgroup are validated.  Enumerations are cached as text, one
-canonical matrix per line.
+canonical matrix per line; a cache is trusted only when it holds exactly
+the group's closed-form order of well-formed elements, and is rebuilt
+otherwise.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from functools import lru_cache
 from math import lcm
 
@@ -248,6 +251,7 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
         if p * p != q or not is_prime(p):
             raise ValueError(f"q = {q} is not the square of a prime")
         oracle = psl2_oracle(p)
+        order = q * (q * q - 1) // 2
         key = f"psl2_{q}"
         width = 8
         unflatten = _unflatten_psl2
@@ -255,6 +259,7 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
         if q != 3:
             raise ValueError("only PSL(3,3) is supported")
         oracle = psl3_oracle()
+        order = 5616
         key = "psl3_3"
         width = 9
         unflatten = tuple
@@ -264,14 +269,20 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
     path = os.path.join(cache_dir(), key + ".txt")
     if not refresh and os.path.exists(path):
         elements = set()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                values = [int(v) for v in line.split()]
-                if len(values) != width:
-                    raise ValueError(f"corrupt cache line in {path}")
-                elements.add(unflatten(values))
-        oracle._set_elements(elements)
-        return oracle
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    values = [int(v) for v in line.split()]
+                    if len(values) != width:
+                        raise ValueError(f"corrupt line {line.strip()!r}")
+                    elements.add(unflatten(values))
+            if len(elements) != order:
+                raise ValueError(f"{len(elements)} elements, expected {order}")
+        except ValueError as exc:
+            print(f"grunits: rebuilding {path}: {exc}", file=sys.stderr)
+        else:
+            oracle._set_elements(elements)
+            return oracle
 
     oracle.enumerate()
     tmp = path + ".tmp"

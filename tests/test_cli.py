@@ -75,7 +75,7 @@ def test_oracle(tmp_path):
 
 def test_invariants_gate(tmp_path):
     out = tmp_path / "r.json"
-    assert main(["invariants", "--jobs", "2", "--json", str(out)]) == 0
+    assert main(["invariants", "--json", str(out)]) == 0
     report = _load(out)
     assert all(c["ok"] for c in report["result"]["checks"])
 
@@ -89,13 +89,13 @@ def test_json_determinism(tmp_path):
     assert ra == rb
 
 
-def test_jobs_deterministic(tmp_path):
+def test_invariants_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["invariants", "--jobs", "1", "--json", str(a)])
-    main(["invariants", "--jobs", "4", "--json", str(b)])
+    main(["invariants", "--json", str(a)])
+    main(["invariants", "--json", str(b)])
     ra, rb = _load(a), _load(b)
     ra.pop("wall_clock_s"), rb.pop("wall_clock_s")
-    ra["params"].pop("jobs"), rb["params"].pop("jobs")
+    assert ra["params"] == {}
     assert ra == rb
 
 
@@ -118,6 +118,8 @@ def test_usage_errors():
     ["patterns", "--p", "9"],
     ["patterns", "--p", "2"],
     ["construct", "psl2", "--p", "9", "--pattern", "1,2,4,5"],
+    ["oracle", "--group", "psl2", "--q", "8"],
+    ["oracle", "--group", "psl2", "--q", "121"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(
@@ -140,3 +142,16 @@ def test_validation_failure_exit_code(tmp_path, monkeypatch):
     bad.write_text(text.replace("chi12 12 12 3 0", "chi12 12 12 0 3"))
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     assert main(["chartab", "--group", "psl33"]) == 1
+
+
+def test_missing_table_is_an_error_not_a_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "grunits.cli", "chartab", "--group", "psl33"],
+        capture_output=True, text=True,
+        env={**os.environ, "HOME": str(tmp_path),
+             "GRS_DATA_DIR": str(tmp_path)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    missing = tmp_path / "psl33.tbl"
+    assert proc.stderr.strip() == f"grunits: error: missing file {missing}"

@@ -7,12 +7,15 @@ from grunits.constructions import (
     BadPattern,
     build_psl2_units,
     build_psl33_units,
+    element_profile,
     element_profiles,
+    solve_element,
     unit_pattern_from_profiles,
     valenti_search,
     verify_unit_group,
 )
 from grunits.matrices import BlockDiag, QMatrix, companion_cyclotomic
+from grunits.partialaug import CharProfile, invert_profile
 from grunits.patterns import group_patterns
 
 
@@ -208,4 +211,54 @@ def test_verify_rejects_equal_generators():
     _u, v = ug.generator_exponents
     report = verify_unit_group(replace(ug, generator_exponents=[v, v]))
     assert report["faithful"] is False
+    assert report["ok"] is False
+
+
+def _forced_profile(ug, exps):
+    """The element's profile as the support hypothesis forces it: the
+    distinguished traces, and every other row from the pair (eps_a, eps_b)
+    solving the distinguished rows (with augmentation one when there is a
+    single distinguished row) by Cramer's rule."""
+    xa, xb = ug.support
+    traces = {ug.distinguished[c]: t for c, t in ug.traces(exps).items()}
+    rows = [ug.table.char_by_name(name) for name in traces]
+    eqs = [((r.values[xa], r.values[xb]), traces[r.name]) for r in rows]
+    if len(eqs) == 1:
+        eqs.append(((1, 1), 1))
+    ((a, b), s), ((c, d), t) = eqs
+    det = a * d - b * c
+    ea, eb = (s * d - b * t) / det, (a * t - s * c) / det
+    return CharProfile(ug.table, {
+        ch.name: traces[ch.name] if ch.name in traces
+        else ea * ch.values[xa] + eb * ch.values[xb]
+        for ch in ug.table.chars
+    })
+
+
+@pytest.mark.parametrize("p,members", [
+    *((3, set(m)) for m in combinations(range(1, 3), 1)),
+    *((5, set(m)) for m in combinations(range(1, 5), 2)),
+    (7, {1, 2, 4}),
+    (7, {1, 2, 3}),
+    (3, None),  # PSL(3,3)
+])
+def test_solve_element_matches_full_table_solve(p, members):
+    ug = build_psl33_units() if members is None else build_psl2_units(p, members)
+    for exps in ug.elements:
+        if not any(exps):
+            continue
+        forced = _forced_profile(ug, exps)
+        assert solve_element(ug, exps) == invert_profile(forced, list(ug.support))
+        assert element_profile(ug, exps) == forced
+
+
+def test_verify_rejects_traces_breaking_augmentation_one():
+    ug = build_psl33_units()
+    alpha, beta, gamma = ug.generator_exponents
+    # phi trace -5 instead of -8: chi12 and augmentation one still give
+    # (3, -2), which the chi16a row then contradicts
+    bad_alpha = {**alpha, "phi": (0,) + alpha["phi"][1:]}
+    report = verify_unit_group(
+        replace(ug, generator_exponents=[bad_alpha, beta, gamma]))
+    assert any(p.startswith("element (1, 0, 0): ") for p in report["problems"])
     assert report["ok"] is False

@@ -59,3 +59,18 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert g2.order == g1.order == 360
     g3 = enumerate_group("psl2", 9, refresh=True)
     assert g3.order == 360
+
+
+@pytest.mark.parametrize("damage", ["truncate", "corrupt"])
+def test_damaged_cache_is_rebuilt(damage, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    cache = tmp_path / "psl2_9.txt"
+    enumerate_group("psl2", 9)
+    lines = cache.read_text().splitlines(keepends=True)
+    if damage == "truncate":
+        cache.write_text("".join(lines[:100]))
+    else:
+        cache.write_text("".join(lines[:-1]) + "1 2 x\n")
+    assert enumerate_group("psl2", 9).order == 360
+    assert "rebuilding" in capsys.readouterr().err
+    assert cache.read_text().splitlines(keepends=True) == lines
