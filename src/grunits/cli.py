@@ -27,7 +27,6 @@ from .constructions import (
     BadPattern,
     build_psl2_units,
     build_psl33_units,
-    element_profiles,
     valenti_search,
     verify_unit_group,
 )
@@ -142,9 +141,9 @@ def cmd_construct(args, parser) -> int:
     else:
         ok = result["ok"]
         if args.kind == "psl2":
-            profiles = element_profiles(ug)
-            witness = valenti_search(profiles, args.p, group_patterns(args.p))
-            result["valenti_witness"] = witness
+            result["valenti_witness"] = valenti_search(
+                frozenset(result["trace_pattern"]), args.p,
+                group_patterns(args.p))
     report = _run_report("construct", params, result, ok, t0)
     return _emit(report, args.json)
 

@@ -16,15 +16,16 @@ Verification proves with real matrix products the premises that make the
 exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
 the representation faithful), then recovers every element's partial
 augmentations by one exact solve from augmentation one and the
-distinguished traces, and checks integrality and class counts.  The other
-character values carry no information of their own: `element_profile`
-synthesizes them from the solved augmentations.
+distinguished traces, and checks integrality and class counts.  For
+PSL(2,p^2) it also reads the mixed-class pattern off the verified `eta`
+traces; the Valenti search takes that pattern.  The other character values
+carry no information of their own: `element_profile` synthesizes them from
+the solved augmentations, as the reference that tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from .partialaug import (
     mrsw_conjugate_to_group_element,
     synthesize_profile,
 )
+from .patterns import _pattern_of
 
 
 class BadPattern(Exception):
@@ -128,9 +130,9 @@ class UnitGroup:
             for c, ks in self.block_exponents(exps).items()
         }
 
-    @property
-    def elements(self) -> Mapping[tuple[int, ...], dict[str, BlockDiag]]:
-        return _Elements(self)
+    def exponent_vectors(self):
+        """Every element's exponent vector, in sorted order."""
+        return itertools.product(range(self.p), repeat=self.rank)
 
     @property
     def generators(self) -> list[dict[str, BlockDiag]]:
@@ -140,26 +142,7 @@ class UnitGroup:
         ]
 
     def order(self) -> int:
-        return len(self.elements)
-
-
-class _Elements(Mapping):
-    """Exponent vector -> element, assembled from the power tables on access."""
-
-    def __init__(self, ug: UnitGroup) -> None:
-        self._ug = ug
-
-    def __getitem__(self, exps) -> dict[str, BlockDiag]:
-        ug = self._ug
-        if len(exps) != ug.rank or not all(0 <= e < ug.p for e in exps):
-            raise KeyError(exps)
-        return ug.element(exps)
-
-    def __iter__(self):
-        return itertools.product(range(self._ug.p), repeat=self._ug.rank)
-
-    def __len__(self) -> int:
-        return self._ug.p ** self._ug.rank
+        return self.p ** self.rank
 
 
 def build_psl2_units(p: int, pattern) -> UnitGroup:
@@ -233,7 +216,9 @@ def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> CharProfile:
 
 
 def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], CharProfile]:
-    return {exps: element_profile(ug, exps) for exps in sorted(ug.elements)}
+    """Every element's profile.  Nothing in the package calls it; the
+    benchmark's tracer (perfbench/spans.py) still wraps it by name."""
+    return {exps: element_profile(ug, exps) for exps in ug.exponent_vectors()}
 
 
 def verify_unit_group(ug: UnitGroup) -> dict:
@@ -246,7 +231,10 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     every nontrivial element's partial augmentations come from one exact
     solve of augmentation one and its distinguished traces (`solve_element`),
     whose inconsistency is reported as a problem; integrality, the MRSW
-    signs and per-class counts are read off that solution.
+    signs and per-class counts are read off that solution.  A PSL(2,p^2)
+    group also needs its generators on the support classes in order (u on
+    c, v on d); its `trace_pattern`, the j with u*v^j on class c, is read
+    off the `eta` traces and must equal the requested pattern.
     """
     p, rank = ug.p, ug.rank
     problems: list[str] = []
@@ -273,8 +261,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
                     )
 
     distinct = {
-        tuple(comp[name] for name in comp_names)
-        for comp in ug.elements.values()
+        tuple(ug.element(exps).values()) for exps in ug.exponent_vectors()
     }
     faithful = len(distinct) == p ** rank
     if not faithful:
@@ -285,7 +272,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     counts = {xa: 0, xb: 0, "other": 0}
     all_integral = True
     all_mrsw = True
-    for exps in sorted(ug.elements):
+    for exps in ug.exponent_vectors():
         if not any(exps):
             continue
         try:
@@ -317,7 +304,25 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             }
         )
 
-    report = {
+    pattern_fields = {}
+    if ug.pattern is not None:
+        eta = ug.table.char_by_name("eta")
+        for i, cls in enumerate(ug.support):
+            generator = tuple(int(j == i) for j in range(rank))
+            if ug.traces(generator)["eta"] != eta.values[cls]:
+                problems.append(f"generator {ug.generator_names[i]} "
+                                f"does not lie on class {cls}")
+        recovered = sorted(
+            j
+            for j in range(1, p)
+            if ug.traces((1, j))["eta"] == eta.values["c"]
+        )
+        if recovered != sorted(ug.pattern):
+            problems.append("trace pattern disagrees with requested pattern")
+        pattern_fields = {"pattern": sorted(ug.pattern),
+                          "trace_pattern": recovered}
+
+    return {
         "group": ug.table.group,
         "p": p,
         "rank": rank,
@@ -329,66 +334,28 @@ def verify_unit_group(ug: UnitGroup) -> dict:
         "elements": per_element,
         "problems": problems,
         "ok": faithful and all_integral and not problems,
+        **pattern_fields,
     }
-    if ug.pattern is not None:
-        eta = ug.table.char_by_name("eta")
-        recovered = sorted(
-            j
-            for j in range(1, p)
-            if ug.traces((1, j))["eta"] == eta.values["c"]
-        )
-        report["pattern"] = sorted(ug.pattern)
-        report["trace_pattern"] = recovered
-        if recovered != sorted(ug.pattern):
-            problems.append("trace pattern disagrees with requested pattern")
-            report["ok"] = False
-    return report
 
 
-def unit_pattern_from_profiles(profiles: dict[tuple[int, int], CharProfile],
-                               p: int) -> frozenset[int]:
-    """Recover the mixed-class pattern of a rank-2 unit group from profiles.
-
-    Requires the first generator on class c and the second on class d
-    (read off the eta row).
-    """
-    table = next(iter(profiles.values())).table
-    eta = table.char_by_name("eta")
-
-    def cls(exps) -> str:
-        v = profiles[exps].rational_value("eta")
-        if v == eta.values["c"]:
-            return "c"
-        if v == eta.values["d"]:
-            return "d"
-        raise ValueError(f"element {exps} matches neither order-p class")
-
-    if cls((1, 0)) != "c" or cls((0, 1)) != "d":
-        raise ValueError("generators must lie on classes c and d respectively")
-    return frozenset(i for i in range(1, p) if cls((1, i)) == "c")
-
-
-def valenti_search(profiles: dict[tuple[int, int], CharProfile], p: int,
+def valenti_search(target: frozenset[int], p: int,
                    group_side: set[frozenset[int]]) -> dict | None:
     """Search for a character-value-preserving isomorphism onto a Sylow pair.
 
-    A witness is a group-side generator pair realizing the unit group's
-    mixed-class pattern; pattern equality is exactly value preservation on
-    every element because powers stay in their generator's class.  None
-    certifies that no such isomorphism exists.
+    `target` is the unit group's mixed-class pattern, the `trace_pattern`
+    of a verified group (which also proves its generators lie on classes c
+    and d).  A witness is a group-side generator pair realizing it; pattern
+    equality is exactly value preservation on every element because powers
+    stay in their generator's class.  None certifies that no such
+    isomorphism exists.
     """
-    target = unit_pattern_from_profiles(profiles, p)
     if target not in group_side:
         return None
     f = fq_make(p)
     for e in f.elements():
         if e == f.zero or f.is_square(e):
             continue
-        realized = frozenset(
-            i for i in range(1, p)
-            if f.is_square(f.add(f.one, f.mul(f.scalar(i), e)))
-        )
-        if realized == target:
+        if _pattern_of(f, f.one, e) == target:
             return {
                 "pattern": sorted(target),
                 "g": f.format(f.one),

@@ -12,10 +12,6 @@ from .cyclotomic import format_rational
 from .finitefield import is_prime
 
 
-class NoOrderWithinBound(Exception):
-    pass
-
-
 class SignatureMismatch(Exception):
     pass
 
@@ -37,10 +33,6 @@ class QMatrix:
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, n: int, c) -> "QMatrix":
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.dim != other.dim:
@@ -99,16 +91,6 @@ def companion_cyclotomic(p: int) -> QMatrix:
     return QMatrix(rows)
 
 
-def mat_order(m: QMatrix, bound: int) -> int:
-    """Least k <= bound with m^k = identity."""
-    acc = m
-    for k in range(1, bound + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * m
-    raise NoOrderWithinBound(f"no order within {bound}")
-
-
 class BlockDiag:
     """Block-diagonal matrix; products require identical block signatures."""
 
@@ -121,10 +103,6 @@ class BlockDiag:
     def signature(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.blocks)
 
-    @property
-    def dim(self) -> int:
-        return sum(self.signature)
-
     def __mul__(self, other: "BlockDiag") -> "BlockDiag":
         if not isinstance(other, BlockDiag):
             return NotImplemented
@@ -133,9 +111,6 @@ class BlockDiag:
                 f"signatures differ: {self.signature} vs {other.signature}"
             )
         return BlockDiag(a * b for a, b in zip(self.blocks, other.blocks))
-
-    def __pow__(self, k: int) -> "BlockDiag":
-        return BlockDiag(b ** k for b in self.blocks)
 
     def trace(self) -> Fraction:
         return sum(b.trace() for b in self.blocks)
@@ -150,6 +125,3 @@ class BlockDiag:
 
     def __hash__(self):
         return hash(self.blocks)
-
-    def to_json(self) -> list[list[list[str]]]:
-        return [b.to_json() for b in self.blocks]

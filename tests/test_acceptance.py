@@ -13,7 +13,6 @@ from grunits.chardata import psl2_slice, psl33_slice, validate_orthogonality
 from grunits.constructions import (
     build_psl2_units,
     build_psl33_units,
-    element_profiles,
     valenti_search,
     verify_unit_group,
 )
@@ -94,12 +93,15 @@ def test_criterion_4_counterexample_certification(capsys):
     ug = build_psl2_units(7, {1, 2, 4})
     report = verify_unit_group(ug)
     ok = report["ok"] and all(e["mrsw"] for e in report["elements"])
-    ok &= valenti_search(element_profiles(ug), 7, group_patterns(7)) is None
+    ok &= valenti_search(frozenset(report["trace_pattern"]), 7,
+                         group_patterns(7)) is None
     for p in (3, 5):
         gp = group_patterns(p)
         for members in combinations(range(1, p), (p - 1) // 2):
-            ug2 = build_psl2_units(p, set(members))
-            ok &= valenti_search(element_profiles(ug2), p, gp) is not None
+            report2 = verify_unit_group(build_psl2_units(p, set(members)))
+            ok &= report2["ok"]
+            ok &= valenti_search(frozenset(report2["trace_pattern"]), p,
+                                 gp) is not None
     _verdict(capsys, "4 (counterexample certification)", ok)
 
 
@@ -114,7 +116,7 @@ def test_criterion_5_gap_counting(capsys):
 
 def test_criterion_6_psl33_construction(capsys):
     ug = build_psl33_units()
-    alpha = ug.elements[(1, 0, 0)]
+    alpha = ug.element((1, 0, 0))
     ok = alpha["chi"].trace() == 9 and alpha["phi"].trace() == -8
     report = verify_unit_group(ug)
     ok &= report["ok"]

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from grunits import constructions
 from grunits.cli import main
 
 
@@ -44,6 +45,21 @@ def test_construct_psl2_verify(tmp_path):
     report = _load(out)
     assert report["result"]["valenti_witness"] is None
     assert report["result"]["trace_pattern"] == [1, 2, 4]
+
+
+def test_construct_verify_solves_each_element_once(tmp_path, monkeypatch):
+    invert_profile = constructions.invert_profile
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return invert_profile(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "invert_profile", counting)
+    assert main(["construct", "psl2", "--p", "7", "--pattern", "1,2,4",
+                 "--verify", "--json", str(tmp_path / "r.json")]) == 0
+    # one solve per non-identity element of the order-49 group
+    assert len(calls) == 48
 
 
 def test_construct_psl33_verify(tmp_path):

@@ -8,9 +8,7 @@ from grunits.constructions import (
     build_psl2_units,
     build_psl33_units,
     element_profile,
-    element_profiles,
     solve_element,
-    unit_pattern_from_profiles,
     valenti_search,
     verify_unit_group,
 )
@@ -43,11 +41,11 @@ def test_psl2_p7_counterexample_pattern():
 def test_psl2_generator_traces():
     ug = build_psl2_units(7, {1, 2, 4})
     eta = ug.table.char_by_name("eta")
-    u, v = ug.elements[(1, 0)]["eta"], ug.elements[(0, 1)]["eta"]
+    u, v = ug.element((1, 0))["eta"], ug.element((0, 1))["eta"]
     assert u.trace() == eta.values["c"] == 4
     assert v.trace() == eta.values["d"] == -3
     for j in range(1, 7):
-        t = ug.elements[(1, j)]["eta"].trace()
+        t = ug.element((1, j))["eta"].trace()
         assert t == (eta.values["c"] if j in {1, 2, 4} else eta.values["d"])
 
 
@@ -61,16 +59,19 @@ def test_all_balanced_patterns_small_p(p):
         assert report["counts"]["d"] == (p * p - 1) // 2
 
 
+def _trace_pattern(p, members):
+    return frozenset(
+        verify_unit_group(build_psl2_units(p, members))["trace_pattern"])
+
+
 def test_valenti_search_counterexample():
     gp = group_patterns(7)
-    ug = build_psl2_units(7, {1, 2, 4})
-    assert valenti_search(element_profiles(ug), 7, gp) is None
+    assert valenti_search(_trace_pattern(7, {1, 2, 4}), 7, gp) is None
 
 
 def test_valenti_search_realizable():
     gp = group_patterns(7)
-    ug = build_psl2_units(7, {1, 2, 3})
-    witness = valenti_search(element_profiles(ug), 7, gp)
+    witness = valenti_search(_trace_pattern(7, {1, 2, 3}), 7, gp)
     assert witness is not None
     assert witness["pattern"] == [1, 2, 3]
 
@@ -80,14 +81,8 @@ def test_valenti_search_small_p_always_witnessed(p):
     gp = group_patterns(p)
     half = (p - 1) // 2
     for members in combinations(range(1, p), half):
-        ug = build_psl2_units(p, set(members))
-        assert valenti_search(element_profiles(ug), p, gp) is not None
-
-
-def test_unit_pattern_round_trip():
-    for members in [{1, 2, 4}, {3, 5, 6}, {1, 4, 6}]:
-        ug = build_psl2_units(7, members)
-        assert unit_pattern_from_profiles(element_profiles(ug), 7) == members
+        target = _trace_pattern(p, set(members))
+        assert valenti_search(target, p, gp) is not None
 
 
 def test_psl33_construction():
@@ -101,7 +96,7 @@ def test_psl33_construction():
 
 def test_psl33_alpha_values():
     ug = build_psl33_units()
-    alpha = ug.elements[(1, 0, 0)]
+    alpha = ug.element((1, 0, 0))
     assert alpha["chi"].trace() == 9
     assert alpha["phi"].trace() == -8
     report = verify_unit_group(ug)
@@ -166,9 +161,9 @@ def _multiplied_out(generators, p):
 
 def _assert_matches_reference(ug, generators):
     reference = _multiplied_out(generators, ug.p)
-    assert sorted(ug.elements) == sorted(reference)
+    assert list(ug.exponent_vectors()) == sorted(reference)
     for exps, comp in reference.items():
-        assert ug.elements[exps] == comp
+        assert ug.element(exps) == comp
         assert ug.traces(exps) == {c: m.trace() for c, m in comp.items()}
 
 
@@ -200,10 +195,23 @@ def test_verify_rejects_base_of_wrong_order():
     ug = build_psl2_units(5, {1, 2})
     blocks = ug.bases["eta"]
     # -I has order 2, so exponents of this block cannot be read mod 5
-    bad = replace(ug, bases={"eta": blocks[:-1] + (QMatrix.scalar(4, -1),)})
+    minus_one = QMatrix([[-1, 0, 0, 0], [0, -1, 0, 0],
+                         [0, 0, -1, 0], [0, 0, 0, -1]])
+    bad = replace(ug, bases={"eta": blocks[:-1] + (minus_one,)})
     report = verify_unit_group(bad)
     assert "generator v does not have order 5 in eta" in report["problems"]
     assert not report["ok"]
+
+
+def test_verify_rejects_generators_on_swapped_classes():
+    # for {1, 4} the swapped pair still shows the requested trace pattern,
+    # so only the generator-class check can catch it
+    ug = build_psl2_units(5, {1, 4})
+    u, v = ug.generator_exponents
+    report = verify_unit_group(replace(ug, generator_exponents=[v, u]))
+    assert report["trace_pattern"] == [1, 4]
+    assert "generator u does not lie on class c" in report["problems"]
+    assert report["ok"] is False
 
 
 def test_verify_rejects_equal_generators():
@@ -244,7 +252,7 @@ def _forced_profile(ug, exps):
 ])
 def test_solve_element_matches_full_table_solve(p, members):
     ug = build_psl33_units() if members is None else build_psl2_units(p, members)
-    for exps in ug.elements:
+    for exps in ug.exponent_vectors():
         if not any(exps):
             continue
         forced = _forced_profile(ug, exps)

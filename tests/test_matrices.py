@@ -5,11 +5,9 @@ import pytest
 
 from grunits.matrices import (
     BlockDiag,
-    NoOrderWithinBound,
     QMatrix,
     SignatureMismatch,
     companion_cyclotomic,
-    mat_order,
 )
 
 
@@ -29,17 +27,11 @@ def test_companion_p5_order():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_companion_trace_and_order(p):
     a = companion_cyclotomic(p)
-    assert mat_order(a, p + 1) == p
+    assert (a ** p).is_identity()
+    # a^k for 0 < k < p has trace -1, not p - 1, so is not the identity
     for k in range(1, p):
         assert (a ** k).trace() == -1
     assert (a ** p).trace() == p - 1
-
-
-def test_mat_order_cases():
-    assert mat_order(QMatrix.identity(3), 10) == 1
-    assert mat_order(companion_cyclotomic(7), 10) == 7
-    with pytest.raises(NoOrderWithinBound):
-        mat_order(QMatrix.scalar(2, Fraction(2)), 10)
 
 
 def test_block_trace_example_p7():
@@ -50,12 +42,6 @@ def test_block_trace_example_p7():
         a ** 6, a ** 5, a ** 3,
     ])
     assert x.trace() == 4  # 1 + 6 + 3*(-1) = (p+1)/2
-
-
-def test_block_pow_identity():
-    a = companion_cyclotomic(5)
-    x = BlockDiag([QMatrix.identity(1), a, a ** 3, QMatrix.identity(4)])
-    assert (x ** 5).is_identity()
 
 
 def test_signature_mismatch():
