@@ -79,9 +79,15 @@ def _psl2_table(p: int, parser) -> TableSlice:
         parser.error(f"--p {p}: {exc}")
 
 
+def _reject_unused(flag: str, value, parser) -> None:
+    if value is not None:
+        parser.error(f"{flag} {value}: {flag} applies only to --group psl2")
+
+
 def cmd_chartab(args, parser) -> int:
     t0 = time.monotonic()
     if args.group == "psl33":
+        _reject_unused("--p", args.p, parser)
         table = psl33_slice()
     else:
         table = _psl2_table(args.p, parser)
@@ -96,6 +102,7 @@ def cmd_chartab(args, parser) -> int:
 def cmd_help_scan(args, parser) -> int:
     t0 = time.monotonic()
     if args.group == "psl33":
+        _reject_unused("--p", args.p, parser)
         table = psl33_slice()
         scan = feasible_distributions(list(table.chars), 3, 3, ("a", "b"))
         expected: list[int] = []
@@ -166,6 +173,7 @@ def cmd_patterns(args, parser) -> int:
 def cmd_oracle(args, parser) -> int:
     t0 = time.monotonic()
     if args.group == "psl3":
+        _reject_unused("--q", args.q, parser)
         group = enumerate_group("psl3", 3, refresh=args.refresh)
         p = 3
     else:

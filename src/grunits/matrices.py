@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import format_rational
 from .finitefield import is_prime
 
 
@@ -73,9 +72,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.dim}x{self.dim})"
-
-    def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.rows]
 
 
 def companion_cyclotomic(p: int) -> QMatrix:

@@ -1,13 +1,21 @@
-"""Brute-force ground truth for the three groups in scope.
+"""Brute-force ground truth for the groups in scope.
 
-PSL(2,9), PSL(2,25) and PSL(3,3) are enumerated as canonical projective
-matrices over their finite fields, by closure from transvection
+PSL(2,9), PSL(2,25), PSL(2,49) and PSL(3,3) are enumerated as canonical
+projective matrices over their finite fields, by closure from transvection
 generators.  Orders, exponents and conjugacy classes computed here are the
 oracle against which character slices and the square-class model of the
-Sylow subgroup are validated.  Enumerations are cached as text, one
-canonical matrix per line; a cache is trusted only when it holds exactly
-the group's closed-form order of well-formed elements, and is rebuilt
-otherwise.
+Sylow subgroup are validated.
+
+Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
+x^k = 1 of an element whose order is not yet known are walked once, and
+x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
+classes read that list.
+
+Enumerations are cached as text, one canonical matrix per line.  A cache is
+trusted only when every line is a matrix with entries in range(p), in its
+canonical form, of determinant 1 and distinct from the other lines, and
+there are exactly as many lines as the group's closed-form order; those
+lines are then exactly the group.  Any other cache is rebuilt.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .finitefield import Fq, fq_make, is_prime
 
@@ -39,6 +47,7 @@ class GroupOracle:
         self._canon = canon
         self.elements: list = []
         self._index: dict = {}
+        self._orders: list[int] | None = None
 
     # -- group operations on canonical representatives ----------------------
 
@@ -68,30 +77,53 @@ class GroupOracle:
     def _set_elements(self, seen):
         self.elements = sorted(seen)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._orders = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def element_order(self, x) -> int:
+        """The order of x by multiplying until the identity; the reference
+        for `orders`."""
         k, acc = 1, x
         while acc != self.identity:
             acc = self.mul(acc, x)
             k += 1
         return k
 
+    def orders(self) -> list[int]:
+        """The order of each element, in the order of `elements`."""
+        if self._orders is None:
+            index, identity = self._index, self.identity
+            orders = [0] * len(self.elements)
+            for i, x in enumerate(self.elements):
+                if orders[i]:
+                    continue
+                powers = [i]
+                acc = x
+                while acc != identity:
+                    acc = self.mul(acc, x)
+                    powers.append(index[acc])
+                k = len(powers)
+                for j, at in enumerate(powers, 1):
+                    orders[at] = k // gcd(j, k)
+            self._orders = orders
+        return self._orders
+
     def exponent(self) -> int:
-        return lcm(*(self.element_order(x) for x in self.elements))
+        return lcm(*set(self.orders()))
 
     def conjugacy_class(self, x) -> set:
-        gens = self.generators + [self.inv(g) for g in self.generators]
+        # g^-1 is a power of g, so the generators alone give the whole orbit
+        conjugators = [(self.inv(g), g) for g in self.generators]
         orbit = {x}
         frontier = [x]
         while frontier:
             nxt = []
             for y in frontier:
-                for g in gens:
-                    z = self.mul(self.mul(self.inv(g), y), g)
+                for ginv, g in conjugators:
+                    z = self.mul(self.mul(ginv, y), g)
                     if z not in orbit:
                         orbit.add(z)
                         nxt.append(z)
@@ -100,7 +132,7 @@ class GroupOracle:
 
     def order_p_classes(self, p: int) -> list[tuple]:
         """(representative, class size) for each class of order-p elements."""
-        remaining = {x for x in self.elements if self.element_order(x) == p}
+        remaining = {x for x, k in zip(self.elements, self.orders()) if k == p}
         classes = []
         while remaining:
             rep = min(remaining)
@@ -124,16 +156,22 @@ class GroupOracle:
 
 
 def _psl2_ops(f: Fq):
+    p, t = f.p, f.t
     zero, one = f.zero, f.one
 
     def mul(x, y):
-        a, b, c, d = x
-        e, g, h, i = y
+        # entries a0 + a1*w with w^2 = t
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
+        (e0, e1), (g0, g1), (h0, h1), (i0, i1) = y
         return (
-            f.add(f.mul(a, e), f.mul(b, h)),
-            f.add(f.mul(a, g), f.mul(b, i)),
-            f.add(f.mul(c, e), f.mul(d, h)),
-            f.add(f.mul(c, g), f.mul(d, i)),
+            ((a0 * e0 + b0 * h0 + t * (a1 * e1 + b1 * h1)) % p,
+             (a0 * e1 + a1 * e0 + b0 * h1 + b1 * h0) % p),
+            ((a0 * g0 + b0 * i0 + t * (a1 * g1 + b1 * i1)) % p,
+             (a0 * g1 + a1 * g0 + b0 * i1 + b1 * i0) % p),
+            ((c0 * e0 + d0 * h0 + t * (c1 * e1 + d1 * h1)) % p,
+             (c0 * e1 + c1 * e0 + d0 * h1 + d1 * h0) % p),
+            ((c0 * g0 + d0 * i0 + t * (c1 * g1 + d1 * i1)) % p,
+             (c0 * g1 + c1 * g0 + d0 * i1 + d1 * i0) % p),
         )
 
     def inv(x):
@@ -141,11 +179,27 @@ def _psl2_ops(f: Fq):
         return (d, f.neg(b), f.neg(c), a)
 
     def canon(x):
-        negx = tuple(f.neg(e) for e in x)
-        return min(x, negx)
+        # the smaller of x and -x: they first differ at the first nonzero
+        # entry v, and x is the smaller when v < p - v
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
+        if 2 * (a0 or a1 or b0 or b1 or c0 or c1 or d0 or d1) < p:
+            return x
+        return ((-a0 % p, -a1 % p), (-b0 % p, -b1 % p),
+                (-c0 % p, -c1 % p), (-d0 % p, -d1 % p))
 
     identity = (one, zero, zero, one)
     return identity, mul, inv, canon
+
+
+def _psl2_det_is_one(f: Fq):
+    p, t = f.p, f.t
+
+    def det_is_one(x):
+        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
+        return ((a0 * d0 - b0 * c0 + t * (a1 * d1 - b1 * c1)) % p == 1
+                and (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p == 0)
+
+    return det_is_one
 
 
 def psl2_oracle(p: int) -> GroupOracle:
@@ -180,15 +234,16 @@ def psl2_unipotent(p: int, lam) -> tuple:
 
 def _psl3_ops():
     def mul(x, y):
-        out = [0] * 9
-        for i in range(3):
-            for j in range(3):
-                out[3 * i + j] = (
-                    x[3 * i] * y[j]
-                    + x[3 * i + 1] * y[3 + j]
-                    + x[3 * i + 2] * y[6 + j]
-                ) % 3
-        return tuple(out)
+        a, b, c, d, e, f_, g, h, i = x
+        j, k, l_, m, n, o, r, s, u = y
+        return (
+            (a * j + b * m + c * r) % 3, (a * k + b * n + c * s) % 3,
+            (a * l_ + b * o + c * u) % 3,
+            (d * j + e * m + f_ * r) % 3, (d * k + e * n + f_ * s) % 3,
+            (d * l_ + e * o + f_ * u) % 3,
+            (g * j + h * m + i * r) % 3, (g * k + h * n + i * s) % 3,
+            (g * l_ + h * o + i * u) % 3,
+        )
 
     def inv(x):
         # adjugate; det = 1 for SL(3,3)
@@ -205,6 +260,12 @@ def _psl3_ops():
 
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     return identity, mul, inv, canon
+
+
+def _psl3_det_is_one(x) -> bool:
+    a, b, c, d, e, f_, g, h, i = x
+    return (a * (e * i - f_ * h) - b * (d * i - f_ * g)
+            + c * (d * h - e * g)) % 3 == 1
 
 
 def psl3_oracle() -> GroupOracle:
@@ -255,14 +316,17 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
         key = f"psl2_{q}"
         width = 8
         unflatten = _unflatten_psl2
+        det_is_one = _psl2_det_is_one(fq_make(p))
     elif kind == "psl3":
         if q != 3:
             raise ValueError("only PSL(3,3) is supported")
         oracle = psl3_oracle()
+        p = 3
         order = 5616
         key = "psl3_3"
         width = 9
         unflatten = tuple
+        det_is_one = _psl3_det_is_one
     else:
         raise ValueError(f"unknown group kind {kind!r}")
 
@@ -275,7 +339,18 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
                     values = [int(v) for v in line.split()]
                     if len(values) != width:
                         raise ValueError(f"corrupt line {line.strip()!r}")
-                    elements.add(unflatten(values))
+                    if min(values) < 0 or max(values) >= p:
+                        raise ValueError(f"entry outside range({p}) in line "
+                                         f"{line.strip()!r}")
+                    x = unflatten(values)
+                    if oracle._canon(x) != x:
+                        raise ValueError(f"non-canonical line {line.strip()!r}")
+                    if not det_is_one(x):
+                        raise ValueError(f"determinant not 1 in line "
+                                         f"{line.strip()!r}")
+                    if x in elements:
+                        raise ValueError(f"repeated line {line.strip()!r}")
+                    elements.add(x)
             if len(elements) != order:
                 raise ValueError(f"{len(elements)} elements, expected {order}")
         except ValueError as exc:

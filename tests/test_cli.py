@@ -136,6 +136,9 @@ def test_usage_errors():
     ["construct", "psl2", "--p", "9", "--pattern", "1,2,4,5"],
     ["oracle", "--group", "psl2", "--q", "8"],
     ["oracle", "--group", "psl2", "--q", "121"],
+    ["oracle", "--group", "psl3", "--q", "9"],
+    ["help-scan", "--group", "psl33", "--p", "7"],
+    ["chartab", "--group", "psl33", "--p", "5"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(

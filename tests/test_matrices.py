@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -68,8 +67,3 @@ def test_trace_linear_and_conjugation_invariant():
     s = a ** 3
     sinv = a ** 2  # a^5 = identity
     assert (s * b * sinv).trace() == b.trace()
-
-
-def test_to_json_row_major():
-    m = QMatrix([[Fraction(1, 2), 0], [1, -1]])
-    assert m.to_json() == [["1/2", "0"], ["1", "-1"]]

@@ -1,8 +1,15 @@
+import random
+from math import lcm
+
 import pytest
 
 from grunits.chardata import psl33_slice
+from grunits.finitefield import fq_make
 from grunits.oracle import (
+    GroupOracle,
     TooLarge,
+    _psl2_ops,
+    _psl3_ops,
     cached_group,
     check_square_criterion,
     enumerate_group,
@@ -34,11 +41,119 @@ def test_psl3_order_and_classes():
 def test_full_partition_psl2_9():
     g = cached_group("psl2", 9)
     partition = g.full_class_partition()
-    assert sum(size for _rep, size in partition) == 360
+    # the classes of A_6
+    assert sorted(size for _rep, size in partition) == [1, 40, 40, 45, 72, 72, 90]
 
 
 def test_exponent_psl2_9():
     assert cached_group("psl2", 9).exponent() == 60
+
+
+GROUPS = [("psl2", 9), ("psl3", 3), ("psl2", 25)]
+
+
+@pytest.mark.parametrize("kind,q", GROUPS)
+def test_orders_match_element_order(kind, q):
+    g = cached_group(kind, q)
+    assert g.orders() == [g.element_order(x) for x in g.elements]
+
+
+@pytest.mark.parametrize("kind,q", GROUPS)
+def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
+    g = cached_group(kind, q)
+    gens = g.generators + [g.inv(h) for h in g.generators]
+    p = 3 if kind == "psl3" else round(q ** 0.5)
+    for rep, size in g.order_p_classes(p):
+        orbit, frontier = {rep}, [rep]
+        while frontier:
+            y = frontier.pop()
+            for h in gens:
+                z = g.mul(g.mul(g.inv(h), y), h)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        assert g.conjugacy_class(rep) == orbit
+        assert len(orbit) == size
+
+
+def _random_fq_matrix(rng, p):
+    return tuple((rng.randrange(p), rng.randrange(p)) for _ in range(4))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_psl2_product_and_canon_match_field_arithmetic(p):
+    f = fq_make(p)
+    _identity, mul, _inv, canon = _psl2_ops(f)
+
+    def field_mul(x, y):
+        a, b, c, d = x
+        e, g, h, i = y
+        return (
+            f.add(f.mul(a, e), f.mul(b, h)),
+            f.add(f.mul(a, g), f.mul(b, i)),
+            f.add(f.mul(c, e), f.mul(d, h)),
+            f.add(f.mul(c, g), f.mul(d, i)),
+        )
+
+    def field_canon(x):
+        return min(x, tuple(f.neg(e) for e in x))
+
+    if p == 3:
+        elements = cached_group("psl2", 9).elements
+        pairs = [(x, y) for x in elements for y in elements]
+    else:
+        rng = random.Random(p)
+        pairs = [(_random_fq_matrix(rng, p), _random_fq_matrix(rng, p))
+                 for _ in range(5000)]
+    for x, y in pairs:
+        xy = mul(x, y)
+        assert xy == field_mul(x, y)
+        assert canon(xy) == field_canon(xy)
+    assert all(canon(x) == field_canon(x) for x, _y in pairs)
+
+
+def test_psl3_product_matches_index_loop():
+    _identity, mul, _inv, _canon = _psl3_ops()
+
+    def loop_mul(x, y):
+        out = [0] * 9
+        for i in range(3):
+            for j in range(3):
+                out[3 * i + j] = sum(x[3 * i + k] * y[3 * k + j]
+                                     for k in range(3)) % 3
+        return tuple(out)
+
+    elements = cached_group("psl3", 3).elements
+    rng = random.Random(3)
+    for _ in range(20000):
+        x, y = rng.choice(elements), rng.choice(elements)
+        assert mul(x, y) == loop_mul(x, y)
+
+
+def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
+    g = psl2_oracle(5).enumerate()
+    products = 0
+    mul = GroupOracle.mul
+
+    def counted(self, x, y):
+        nonlocal products
+        products += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(GroupOracle, "mul", counted)
+    g.order_p_classes(5)
+    g.exponent()
+    # one walk per element costs 143,626 products here
+    assert products <= 15_000
+
+
+def test_psl2_49_ground_truth(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    g = enumerate_group("psl2", 49)
+    assert g.order == 49 * (49 * 49 - 1) // 2 == 58_800
+    assert g.exponent() == lcm(7, 24, 25) == 4200
+    # the unipotents split into two classes of (q^2 - 1)/2
+    assert sorted(size for _rep, size in g.order_p_classes(7)) == [1200, 1200]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -61,16 +176,30 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert g3.order == 360
 
 
-@pytest.mark.parametrize("damage", ["truncate", "corrupt"])
+def _negated(line: str) -> str:
+    return " ".join(str(-int(v) % 3) for v in line.split()) + "\n"
+
+
+@pytest.mark.parametrize("damage", ["truncate", "corrupt", "not-in-group",
+                                    "non-canonical"])
 def test_damaged_cache_is_rebuilt(damage, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     cache = tmp_path / "psl2_9.txt"
     enumerate_group("psl2", 9)
     lines = cache.read_text().splitlines(keepends=True)
+    damaged = list(lines)
     if damage == "truncate":
-        cache.write_text("".join(lines[:100]))
+        damaged = lines[:100]
+    elif damage == "corrupt":
+        damaged[-1] = "1 2 x\n"
+    elif damage == "not-in-group":
+        # the identity replaced by diag(1, 2), canonical but of determinant 2
+        damaged[lines.index("1 0 0 0 0 0 1 0\n")] = "1 0 0 0 0 0 2 0\n"
     else:
-        cache.write_text("".join(lines[:-1]) + "1 2 x\n")
-    assert enumerate_group("psl2", 9).order == 360
+        damaged[7] = _negated(lines[7])
+    cache.write_text("".join(damaged))
+    g = enumerate_group("psl2", 9)
     assert "rebuilding" in capsys.readouterr().err
+    assert g.order == 360
+    assert g.exponent() == 60
     assert cache.read_text().splitlines(keepends=True) == lines
