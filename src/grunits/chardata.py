@@ -13,8 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .cyclotomic import format_rational, parse_rational
 from .finitefield import is_prime
+
+
+def format_rational(x: Fraction | int) -> str:
+    """The exact value as "a/b", or as "a" for an integer."""
+    return str(Fraction(x))
 
 
 class ParseError(Exception):
@@ -47,12 +51,6 @@ class TableSlice:
     classes: list[ClassInfo]
     chars: list[CharSlice]
     notes: list[str] = field(default_factory=list)
-
-    def class_by_id(self, cid: str) -> ClassInfo:
-        for c in self.classes:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
     def char_by_name(self, name: str) -> CharSlice:
         for ch in self.chars:
@@ -201,12 +199,12 @@ def load_table(path) -> TableSlice:
                         _mk_class(parts[1], int(parts[2]), int(parts[3]), order)
                     )
                 elif parts[0] == "char":
-                    values = [parse_rational(v) for v in parts[3:]]
+                    values = [Fraction(v) for v in parts[3:]]
                     if len(values) != len(classes):
                         raise ParseError(
                             f"line {lineno}: expected {len(classes)} values"
                         )
-                    deg_frac = parse_rational(parts[2])
+                    deg_frac = Fraction(parts[2])
                     if deg_frac.denominator != 1 or deg_frac <= 0:
                         raise ParseError(f"line {lineno}: bad degree {parts[2]}")
                     deg = int(deg_frac)

@@ -79,9 +79,9 @@ def _psl2_table(p: int, parser) -> TableSlice:
         parser.error(f"--p {p}: {exc}")
 
 
-def _reject_unused(flag: str, value, parser) -> None:
+def _reject_unused(flag: str, value, parser, scope="--group psl2") -> None:
     if value is not None:
-        parser.error(f"{flag} {value}: {flag} applies only to --group psl2")
+        parser.error(f"{flag} {value}: {flag} applies only to {scope}")
 
 
 def cmd_chartab(args, parser) -> int:
@@ -125,6 +125,8 @@ def cmd_help_scan(args, parser) -> int:
 def cmd_construct(args, parser) -> int:
     t0 = time.monotonic()
     if args.kind == "psl33":
+        _reject_unused("--p", args.p, parser, "construct psl2")
+        _reject_unused("--pattern", args.pattern, parser, "construct psl2")
         ug = build_psl33_units()
         params = {"kind": "psl33"}
     else:

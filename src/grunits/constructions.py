@@ -29,8 +29,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .chardata import TableSlice, psl2_slice, psl33_slice
-from .cyclotomic import format_rational
+from .chardata import TableSlice, format_rational, psl2_slice, psl33_slice
 from .finitefield import fq_make, is_prime
 from .matrices import BlockDiag, QMatrix, companion_cyclotomic
 from .partialaug import (

@@ -62,10 +62,6 @@ class Fq:
         p = self.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
 
-    def sub(self, x: Elem, y: Elem) -> Elem:
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
     def neg(self, x: Elem) -> Elem:
         p = self.p
         return (-x[0] % p, -x[1] % p)
@@ -115,12 +111,6 @@ class Fq:
         if x == self.zero:
             raise ZeroElement("square status of zero is undefined")
         return self.pow(x, (self.q - 1) // 2) == self.one
-
-    def encode(self, x: Elem) -> int:
-        return x[0] + self.p * x[1]
-
-    def decode(self, code: int) -> Elem:
-        return (code % self.p, code // self.p)
 
     def format(self, x: Elem) -> str:
         return f"{x[0]}+{x[1]}*w"

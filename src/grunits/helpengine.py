@@ -13,7 +13,8 @@ All multiplicities are computed exactly.  The direct definition
 is implemented verbatim in :func:`multiplicity`; scans use the equivalent
 closed form obtained by summing each cyclic subgroup first (the root-of-
 unity sum over a line is p-1 on the kernel and -1 off it), which keeps the
-largest scans instant.  Tests pin the two routes against each other.
+largest scans instant.  Tests pin :func:`multiplicity` against that
+closed form.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chardata import CharSlice, TableSlice
-from .cyclotomic import Cyclotomic, cyclo, format_rational
+from .chardata import CharSlice, format_rational
+from .cyclotomic import Cyclotomic, cyclo
 
 
 class UnassignedClass(Exception):
@@ -98,20 +99,6 @@ def multiplicity(theta: CharSlice, a: Assignment, chi: Point) -> Cyclotomic:
         e = sum(c * x for c, x in zip(chi, w)) % p
         total = total + cyclo(p, -e) * value
     return total * Fraction(1, p ** rank)
-
-
-def _kernel_multiplicity(deg, vals, inside, p: int, size: int) -> Fraction:
-    """Closed form for nontrivial chi: each cyclic subgroup sums its p-1
-    nontrivial root-of-unity weights to p-1 (inside the kernel) or -1."""
-    return Fraction(deg - sum(vals) + p * sum(vals[i] for i in inside), size)
-
-
-def _trivial_multiplicity(deg, vals, p: int, size: int) -> Fraction:
-    return Fraction(deg + (p - 1) * sum(vals), size)
-
-
-def _is_nonneg_int(v: Fraction) -> bool:
-    return v.denominator == 1 and v >= 0
 
 
 def _int_rows(theta_set: list[CharSlice], class_ids) -> list[tuple[str, int, int, int]]:
@@ -208,12 +195,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     with that count.
     """
     if p == 2:
-        # a single involution class makes every assignment consistent
-        n = 2 ** rank - 1
-        return ScanResult(
-            p, rank, class_ids, list(range(n + 1)), list(range(n + 1)), [],
-            ["p = 2: one class of involutions, every distribution is consistent"],
-        )
+        raise ValueError("p must be an odd prime")
     if rank not in (2, 3):
         raise ValueError("rank must be 2 or 3")
     points = subgroup_points(p, rank)

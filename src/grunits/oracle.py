@@ -309,8 +309,8 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
     """Enumerate PSL(2,q) (q = p^2) or PSL(3,3), using the text cache."""
     if kind == "psl2":
         p = int(round(q ** 0.5))
-        if p * p != q or not is_prime(p):
-            raise ValueError(f"q = {q} is not the square of a prime")
+        if p * p != q or p == 2 or not is_prime(p):
+            raise ValueError(f"q = {q} is not the square of an odd prime")
         oracle = psl2_oracle(p)
         order = q * (q * q - 1) // 2
         key = f"psl2_{q}"

@@ -5,6 +5,10 @@ chi(u) = sum_x eps_x(u) chi(x) for every irreducible chi.  Inverting that
 overdetermined linear system recovers the partial augmentations from a
 character profile; the Marciniak-Ritter-Sehgal-Weiss criterion then reads
 rational conjugacy to a group element off their signs.
+
+Every character value on the slices this package uses is rational, and so
+is the trace of an exact rational matrix, so profiles, systems and
+solutions are ``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chardata import TableSlice
-from .cyclotomic import Cyclotomic, NotRational, format_rational
+from .chardata import TableSlice, format_rational
 
 
 class Inconsistent(Exception):
@@ -46,19 +49,7 @@ class AugVector:
 @dataclass(frozen=True)
 class CharProfile:
     table: TableSlice
-    values: dict[str, Fraction | Cyclotomic] = field(default_factory=dict)
-
-    def rational_value(self, name: str) -> Fraction:
-        v = self.values[name]
-        if isinstance(v, Cyclotomic):
-            try:
-                return v.as_rational()
-            except NotRational as exc:
-                raise Inconsistent(
-                    f"row {name}: value {v!r} is irrational but the slice "
-                    "values are rational"
-                ) from exc
-        return Fraction(v)
+    values: dict[str, Fraction] = field(default_factory=dict)
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
@@ -125,7 +116,7 @@ def invert_profile(profile: CharProfile, support: list[str]) -> AugVector:
     rhs: list[Fraction] = [Fraction(1)]
     for ch in table.chars:
         rows.append([ch.values[x] for x in support])
-        rhs.append(profile.rational_value(ch.name))
+        rhs.append(Fraction(profile.values[ch.name]))
     sol = _solve_exact(rows, rhs, n)
     return AugVector(tuple(support), dict(zip(support, sol)))
 

@@ -27,9 +27,6 @@ class Pattern:
     def is_balanced(self) -> bool:
         return len(self.members) == (self.p - 1) // 2
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:
     out = []

@@ -139,6 +139,8 @@ def test_usage_errors():
     ["oracle", "--group", "psl3", "--q", "9"],
     ["help-scan", "--group", "psl33", "--p", "7"],
     ["chartab", "--group", "psl33", "--p", "5"],
+    ["oracle", "--group", "psl2", "--q", "4"],
+    ["construct", "psl33", "--p", "5", "--pattern", "1,2"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(

@@ -121,9 +121,8 @@ def test_psl33_x7_needs_exhaustion():
 
 
 def test_p2_early_exit():
-    scan = feasible_distributions([], 2, 2, ("c", "d"))
-    assert scan.feasible == [0, 1, 2, 3]
-    assert scan.notes
+    with pytest.raises(ValueError):
+        feasible_distributions([], 2, 2, ("c", "d"))
 
 
 def test_scan_json_shape():
