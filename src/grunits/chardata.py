@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
 from .finitefield import is_prime
 
@@ -228,7 +227,7 @@ def data_dir() -> str:
     env = os.environ.get("GRS_DATA_DIR")
     if env:
         return env
-    return str(resources.files("grunits").joinpath("data"))
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def psl33_slice() -> TableSlice:

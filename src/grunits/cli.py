@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from math import isqrt
 
 from .chardata import (
     ParseError,
@@ -185,7 +186,7 @@ def cmd_oracle(args, parser) -> int:
             group = enumerate_group("psl2", args.q, refresh=args.refresh)
         except (ValueError, TooLarge) as exc:
             parser.error(f"--q {args.q}: {exc}")
-        p = int(round(args.q ** 0.5))
+        p = isqrt(args.q)
     classes = group.order_p_classes(p)
     result = {
         "group": group.name,

@@ -134,9 +134,9 @@ class ScanResult:
         }
 
 
-def _check_flags(rows, flags, p: int, size: int, hyperplanes,
-                 include_trivial: bool = True):
-    """First failing (theta, chi, value) for the 0/1 class flags, else None.
+def _check_flags(rows, flags, p: int, size: int, hyperplanes):
+    """First failing kernel character (theta, chi, value) for the 0/1 class
+    flags, else None.
 
     flags[i] is 1 when cyclic subgroup i carries the first class.
     """
@@ -144,10 +144,6 @@ def _check_flags(rows, flags, p: int, size: int, hyperplanes,
     x = sum(flags)
     for name, deg, va, vb in rows:
         s = x * va + (n - x) * vb
-        if include_trivial:
-            num = deg + (p - 1) * s
-            if num % size or num < 0:
-                return name, "trivial", Fraction(num, size)
         for e, inside in hyperplanes:
             k = sum(va if flags[i] else vb for i in inside)
             num = deg - s + p * k
@@ -187,12 +183,16 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                            class_ids: tuple[str, str]) -> ScanResult:
     """Scan class-distribution counts x for HeLP feasibility.
 
-    x counts the cyclic subgroups assigned to class_ids[0].  For rank 2 the
-    multiplicity multiset depends on x alone (verified per run), so one
-    representative per x decides.  For rank 3 that symmetry genuinely fails:
-    kernel hyperplanes see the geometry of the assigned point set, so any x
-    passing the count-level tests is settled by exhausting all assignments
-    with that count.
+    x counts the cyclic subgroups assigned to class_ids[0].  The trivial-
+    character multiplicities depend on x alone and are tested once per x;
+    the kernel characters are tested over the candidate assignments with
+    that count.  For rank 2 the multiplicity multiset depends on x alone
+    (verified per run), so one representative per x is the only candidate.
+    For rank 3 that symmetry genuinely fails: kernel hyperplanes see the
+    geometry of the assigned point set, so every assignment with count x is
+    a candidate.  x is feasible when its count passes and some candidate
+    passes the kernels; the witness of an infeasible x is its count-level
+    failure, else the first candidate's kernel failure.
     """
     if p == 2:
         raise ValueError("p must be an odd prime")
@@ -203,72 +203,54 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     rows = _int_rows(theta_set, class_ids)
     n = len(points)
     size = p ** rank
-    notes = []
+    exhaustive = rank == 3
+    if exhaustive:
+        notes = ["rank 3: the multiplicity of a kernel character sees "
+                 "which subgroups its hyperplane contains, not just the "
+                 "counts, so surviving counts are settled by exhausting "
+                 "all assignments with that count"]
+    else:
+        if not _symmetry_probe(rows, p, rank, points, hyperplanes):
+            raise AssertionError("count symmetry failed for rank 2")
+        notes = ["rank 2: representative assignments suffice "
+                 "(count symmetry verified this run)"]
     feasible: list[int] = []
     feasible_kernel: list[int] = []
     witnesses: list[dict] = []
 
-    if rank == 2:
-        if not _symmetry_probe(rows, p, rank, points, hyperplanes):
-            raise AssertionError("count symmetry failed for rank 2")
-        notes.append("rank 2: representative assignments suffice "
-                     "(count symmetry verified this run)")
-        for x in range(n + 1):
-            flags = [1] * x + [0] * (n - x)
-            fail_full = _check_flags(rows, flags, p, size, hyperplanes, True)
-            fail_kernel = _check_flags(rows, flags, p, size, hyperplanes, False)
-            if fail_full is None:
+    for x in range(n + 1):
+        # trivial-character multiplicities depend on the count alone
+        count_fail = None
+        for name, deg, va, vb in rows:
+            num = deg + (p - 1) * (x * va + (n - x) * vb)
+            if num % size or num < 0:
+                count_fail = (name, "trivial", Fraction(num, size))
+                break
+        candidates = (itertools.combinations(range(n), x) if exhaustive
+                      else [range(x)])
+        kernel_ok = False
+        first_fail = None
+        for checked, subset in enumerate(candidates, 1):
+            flags = [0] * n
+            for i in subset:
+                flags[i] = 1
+            fail = _check_flags(rows, flags, p, size, hyperplanes)
+            if fail is None:
+                kernel_ok = True
+                break
+            first_fail = first_fail or fail
+        if kernel_ok:
+            feasible_kernel.append(x)
+            if count_fail is None:
                 feasible.append(x)
-            else:
-                name, chi, m = fail_full
-                witnesses.append(
-                    {"x": x, "theta": name, "chi": chi,
-                     "multiplicity": format_rational(m)}
-                )
-            if fail_kernel is None:
-                feasible_kernel.append(x)
-    else:
-        notes.append("rank 3: the multiplicity of a kernel character sees "
-                     "which subgroups its hyperplane contains, not just the "
-                     "counts, so surviving counts are settled by exhausting "
-                     "all assignments with that count")
-        for x in range(n + 1):
-            # trivial-character multiplicities depend on the count alone
-            count_fail = None
-            for name, deg, va, vb in rows:
-                num = deg + (p - 1) * (x * va + (n - x) * vb)
-                if num % size or num < 0:
-                    count_fail = (name, "trivial", Fraction(num, size))
-                    break
-            kernel_found = False
-            full_found = False
-            checked = 0
-            example_fail = None
-            for subset in itertools.combinations(range(n), x):
-                flags = [0] * n
-                for i in subset:
-                    flags[i] = 1
-                fail = _check_flags(rows, flags, p, size, hyperplanes, False)
-                checked += 1
-                if fail is None:
-                    kernel_found = True
-                    if count_fail is None:
-                        full_found = True
-                    break
-                if example_fail is None:
-                    example_fail = fail
-            if kernel_found:
-                feasible_kernel.append(x)
-            if full_found:
-                feasible.append(x)
-            else:
-                name, chi, m = count_fail or example_fail
-                entry = {"x": x, "theta": name, "chi": chi,
-                         "multiplicity": format_rational(m)}
-                if count_fail is None:
-                    entry["mode"] = "exhaustive"
-                    entry["assignments_checked"] = checked
-                witnesses.append(entry)
+                continue
+        name, chi, m = count_fail or first_fail
+        entry = {"x": x, "theta": name, "chi": chi,
+                 "multiplicity": format_rational(m)}
+        if exhaustive and count_fail is None:
+            entry["mode"] = "exhaustive"
+            entry["assignments_checked"] = checked
+        witnesses.append(entry)
 
     if feasible != feasible_kernel:
         notes.append(

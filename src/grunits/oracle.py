@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .finitefield import Fq, fq_make, is_prime
 
@@ -130,9 +130,9 @@ class GroupOracle:
             frontier = nxt
         return orbit
 
-    def order_p_classes(self, p: int) -> list[tuple]:
-        """(representative, class size) for each class of order-p elements."""
-        remaining = {x for x, k in zip(self.elements, self.orders()) if k == p}
+    def _classes_of(self, remaining: set) -> list[tuple]:
+        """(minimal representative, class size) for each class in
+        `remaining`, a union of classes that this empties."""
         classes = []
         while remaining:
             rep = min(remaining)
@@ -141,15 +141,13 @@ class GroupOracle:
             remaining -= orbit
         return classes
 
+    def order_p_classes(self, p: int) -> list[tuple]:
+        """(representative, class size) for each class of order-p elements."""
+        return self._classes_of(
+            {x for x, k in zip(self.elements, self.orders()) if k == p})
+
     def full_class_partition(self) -> list[tuple]:
-        remaining = set(self.elements)
-        classes = []
-        while remaining:
-            rep = min(remaining)
-            orbit = self.conjugacy_class(rep)
-            classes.append((rep, len(orbit)))
-            remaining -= orbit
-        return classes
+        return self._classes_of(set(self.elements))
 
 
 # -- PSL(2, p^2) ------------------------------------------------------------
@@ -308,7 +306,7 @@ def _unflatten_psl2(values: list[int]) -> tuple:
 def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle:
     """Enumerate PSL(2,q) (q = p^2) or PSL(3,3), using the text cache."""
     if kind == "psl2":
-        p = int(round(q ** 0.5))
+        p = isqrt(q) if q >= 1 else 0
         if p * p != q or p == 2 or not is_prime(p):
             raise ValueError(f"q = {q} is not the square of an odd prime")
         oracle = psl2_oracle(p)

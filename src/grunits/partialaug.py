@@ -1,14 +1,16 @@
 """Partial-augmentation vectors and their interplay with character values.
 
 A unit u of augmentation one with support on the order-p classes satisfies
-chi(u) = sum_x eps_x(u) chi(x) for every irreducible chi.  Inverting that
-overdetermined linear system recovers the partial augmentations from a
-character profile; the Marciniak-Ritter-Sehgal-Weiss criterion then reads
-rational conjugacy to a group element off their signs.
+chi(u) = sum_x eps_x(u) chi(x) for every irreducible chi.  Every group in
+scope has exactly two such classes (c, d in PSL(2,p^2); a, b in PSL(3,3)),
+so augmentation one and a single row separating them give the partial
+augmentations in closed form, and the other rows are checked against that
+solution.  The Marciniak-Ritter-Sehgal-Weiss criterion then reads rational
+conjugacy to a group element off their signs.
 
 Every character value on the slices this package uses is rational, and so
-is the trace of an exact rational matrix, so profiles, systems and
-solutions are ``Fraction`` throughout.
+is the trace of an exact rational matrix, so profiles and solutions are
+``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class Inconsistent(Exception):
 
 
 class Underdetermined(Exception):
-    """The support is too large for the available character rows."""
+    """No character row separates the two support classes."""
 
 
 @dataclass(frozen=True)
@@ -52,73 +54,35 @@ class CharProfile:
     values: dict[str, Fraction] = field(default_factory=dict)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
-    """Solve an overdetermined rational system exactly.
-
-    Uses the first rows that increase rank, then checks every remaining row.
-    """
-    basis: list[tuple[int, list[Fraction], Fraction]] = []
-    for row, r in zip(rows, rhs):
-        row = [Fraction(a) for a in row]
-        r = Fraction(r)
-        for pcol, brow, br in basis:
-            f = row[pcol]
-            if f:
-                row = [a - f * b for a, b in zip(row, brow)]
-                r = r - f * br
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            if r != 0:
-                raise Inconsistent("zero row with nonzero residual")
-            continue
-        inv = Fraction(1) / row[pivot]
-        basis.append((pivot, [a * inv for a in row], r * inv))
-    if len(basis) < n:
-        raise Underdetermined(f"rank {len(basis)} < {n} unknowns")
-    # back-substitute: eliminate later pivots from earlier basis rows
-    for i in range(len(basis) - 1, -1, -1):
-        pcol, prow, pr = basis[i]
-        for j in range(i):
-            qcol, qrow, qr = basis[j]
-            f = qrow[pcol]
-            if f:
-                basis[j] = (
-                    qcol,
-                    [a - f * b for a, b in zip(qrow, prow)],
-                    qr - f * pr,
-                )
-    sol = [Fraction(0)] * n
-    for pcol, _row, r in basis:
-        sol[pcol] = r
-    # final exact verification of every input row
-    for row, r in zip(rows, rhs):
-        if sum(a * s for a, s in zip(row, sol)) != r:
-            raise Inconsistent("solved subsystem contradicts a remaining row")
-    return sol
-
-
 def invert_profile(profile: CharProfile, support: list[str]) -> AugVector:
-    """Recover partial augmentations on `support` from a character profile.
+    """Recover the partial augmentations on a two-class support from a
+    character profile.
 
     The identity class is excluded from the support (a nontrivial torsion
-    unit has partial augmentation 0 there); the augmentation-one row is
-    solved together with one equation per character row, and every row must
-    hold exactly.
+    unit has partial augmentation 0 there).  Augmentation one gives
+    eps_x + eps_y = 1, so the first row chi with chi(x) != chi(y) gives
+    eps_x = (chi(u) - chi(y)) / (chi(x) - chi(y)); every row must then hold
+    exactly.
     """
     table = profile.table
     if "1" in support:
         raise ValueError("support must exclude the identity class")
+    if len(support) != 2:
+        raise ValueError(f"support must be two classes, not {support}")
     missing = [ch.name for ch in table.chars if ch.name not in profile.values]
     if missing:
         raise ValueError(f"profile misses rows: {missing}")
-    n = len(support)
-    rows: list[list[Fraction]] = [[Fraction(1)] * n]
-    rhs: list[Fraction] = [Fraction(1)]
+    x, y = support
+    sep = next((ch for ch in table.chars if ch.values[x] != ch.values[y]), None)
+    if sep is None:
+        raise Underdetermined(f"no row separates classes {x} and {y}")
+    ex = ((Fraction(profile.values[sep.name]) - sep.values[y])
+          / (sep.values[x] - sep.values[y]))
+    ey = 1 - ex
     for ch in table.chars:
-        rows.append([ch.values[x] for x in support])
-        rhs.append(Fraction(profile.values[ch.name]))
-    sol = _solve_exact(rows, rhs, n)
-    return AugVector(tuple(support), dict(zip(support, sol)))
+        if ex * ch.values[x] + ey * ch.values[y] != profile.values[ch.name]:
+            raise Inconsistent(f"row {ch.name} contradicts eps = ({ex}, {ey})")
+    return AugVector((x, y), {x: ex, y: ey})
 
 
 def synthesize_profile(table: TableSlice, aug: AugVector) -> CharProfile:

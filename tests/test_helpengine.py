@@ -132,3 +132,54 @@ def test_scan_json_shape():
     assert j["classes"] == ["c", "d"]
     assert all(set(w) >= {"x", "theta", "chi", "multiplicity"}
                for w in j["witnesses"])
+
+
+def _row_by_row_witnesses(theta_set, p):
+    """The row-by-row rank-2 witness rule, the reference for the scan's
+    count-first rule: for the representative assignment of each count x,
+    walk the rows in order and report, within a row, the trivial character
+    before the kernels."""
+    n, size = p + 1, p * p
+    hyperplanes = hyperplane_table(p, 2)
+    witnesses = []
+    for x in range(n + 1):
+        for theta in theta_set:
+            # cyclic subgroups 0 .. x-1 carry class c, the rest class d
+            vals = [int(theta.values["c" if i < x else "d"]) for i in range(n)]
+            deg, s = theta.degree, sum(vals)
+
+            def tests():
+                yield "trivial", deg + (p - 1) * s
+                for e, inside in hyperplanes:
+                    k = sum(vals[i] for i in inside)
+                    yield "ker=" + ",".join(map(str, e)), deg - s + p * k
+
+            fail = next(((chi, m) for chi, m in tests() if m % size or m < 0),
+                        None)
+            if fail:
+                witnesses.append({"x": x, "theta": theta.name, "chi": fail[0],
+                                  "multiplicity": str(Fraction(fail[1], size))})
+                break
+    return witnesses
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_psl2_witnesses_match_row_by_row_rule(p):
+    t = psl2_slice(p)
+    scan = feasible_distributions(list(t.chars), p, 2, ("c", "d"))
+    assert scan.witnesses == _row_by_row_witnesses(list(t.chars), p)
+
+
+def test_psl33_witnesses_pinned():
+    t = psl33_slice()
+    scan = feasible_distributions(list(t.chars), 3, 3, ("a", "b"))
+    trivial = {0: "4/9", 1: "2/3", 2: "8/9", 3: "10/9", 4: "4/3", 5: "14/9",
+               6: "16/9", 8: "20/9", 9: "22/9", 10: "8/3", 11: "26/9",
+               12: "28/9", 13: "10/3"}
+    expected = [{"x": x, "theta": "chi12", "chi": "trivial", "multiplicity": m}
+                for x, m in trivial.items()]
+    expected.insert(7, {"x": 7, "theta": "chi12", "chi": "ker=0,0,1",
+                        "multiplicity": "1/3", "mode": "exhaustive",
+                        "assignments_checked": 1716})
+    assert scan.witnesses == expected
+    assert scan.feasible == scan.feasible_kernel_only == []

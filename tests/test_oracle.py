@@ -58,6 +58,19 @@ def test_orders_match_element_order(kind, q):
     assert g.orders() == [g.element_order(x) for x in g.elements]
 
 
+@pytest.mark.parametrize("kind,q", GROUPS[:2])
+def test_class_lists_are_minimal_representatives_in_order(kind, q):
+    g = cached_group(kind, q)
+    partition = g.full_class_partition()
+    reps = [rep for rep, _size in partition]
+    assert reps == sorted(reps)
+    for rep, size in partition:
+        orbit = g.conjugacy_class(rep)
+        assert min(orbit) == rep and len(orbit) == size
+    order = dict(zip(g.elements, g.orders()))
+    assert g.order_p_classes(3) == [c for c in partition if order[c[0]] == 3]
+
+
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
     g = cached_group(kind, q)

@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from grunits.chardata import psl2_slice, psl33_slice
+from grunits.chardata import CharSlice, psl2_slice, psl33_slice
 from grunits.oracle import cached_group
 from grunits.partialaug import (
     AugVector,
     CharProfile,
     Inconsistent,
+    Underdetermined,
     admissible_subgroup,
     invert_profile,
     mrsw_conjugate_to_group_element,
@@ -58,6 +60,43 @@ def test_inconsistent_profile():
     values["eta_t"] = eta.values["c"]  # both halves claim the same value
     with pytest.raises(Inconsistent):
         invert_profile(CharProfile(t, values), ["c", "d"])
+
+
+def test_no_separating_row_is_underdetermined():
+    t = psl2_slice(5)
+    t = replace(t, chars=[t.char_by_name("triv"), t.char_by_name("steinberg")])
+    with pytest.raises(Underdetermined):
+        invert_profile(_profile_of_class(t, "c"), ["c", "d"])
+
+
+def test_three_class_support_is_rejected():
+    t = psl2_slice(5)
+    # a third class "e" with the values of "c": the data could not pin three
+    # unknowns anyway, but the support size alone is the error
+    chars = [CharSlice(ch.name, ch.degree, {**ch.values, "e": ch.values["c"]})
+             for ch in t.chars]
+    t = replace(t, chars=chars)
+    with pytest.raises(ValueError):
+        invert_profile(_profile_of_class(t, "c"), ["c", "d", "e"])
+
+
+_TABLES = {"psl2_5": (psl2_slice(5), ("c", "d")),
+           "psl2_7": (psl2_slice(7), ("c", "d")),
+           "psl33": (psl33_slice(), ("a", "b"))}
+
+
+@pytest.mark.parametrize("table,row", [
+    (name, ch.name) for name, (t, _support) in _TABLES.items() for ch in t.chars
+])
+def test_shifting_any_row_is_inconsistent(table, row):
+    """Every row is checked, not only the one the solution is read from."""
+    t, (x, y) = _TABLES[table]
+    aug = AugVector((x, y), {x: Fraction(2), y: Fraction(-1)})
+    values = dict(synthesize_profile(t, aug).values)
+    assert invert_profile(CharProfile(t, values), [x, y]) == aug
+    values[row] += 1
+    with pytest.raises(Inconsistent):
+        invert_profile(CharProfile(t, values), [x, y])
 
 
 def test_round_trip_and_linearity():
