@@ -235,11 +235,6 @@ def psl33_slice() -> TableSlice:
     return load_table(os.path.join(data_dir(), "psl33.tbl"))
 
 
-def mixed_rows(t: TableSlice, x: str, y: str) -> list[str]:
-    """Names of character rows taking different values on classes x and y."""
-    return [ch.name for ch in t.chars if ch.values[x] != ch.values[y]]
-
-
 def mixed_value_decomposition(t: TableSlice, x: str, y: str,
                               base1: str, base2: str) -> dict:
     """Express each row's (x,y)-imbalance through the two designated rows.

@@ -3,8 +3,8 @@
 Every report field is exact (integers or "a/b" strings); the only
 non-deterministic field is wall_clock_s, which callers comparing reports
 should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
-1 a validation failed (the witness is printed), 2 usage error or missing
-data file.
+1 a validation failed (the witness is printed), 2 usage error, missing
+data file or a path that cannot be used (the cache location, --json PATH).
 """
 
 from __future__ import annotations
@@ -299,6 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"grunits: error: missing file {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"grunits: error: {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 2
 
 

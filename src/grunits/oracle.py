@@ -6,12 +6,18 @@ generators.  Orders, exponents and conjugacy classes computed here are the
 oracle against which character slices and the square-class model of the
 Sylow subgroup are validated.
 
+Each group is one class, `PSL2` or `PSL3`, holding its canonical product,
+identity, generators, closed-form order and cache key.  An element is the
+flat tuple of its matrix entries, exactly as a cache line stores it:
+(a0, a1, b0, b1, c0, c1, d0, d1) for [[a, b], [c, d]] over F_(p^2), and
+the row-major 9-tuple over F_3.
+
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
 classes read that list.
 
-Enumerations are cached as text, one canonical matrix per line.  A cache is
+Enumerations are cached as text, one element per line.  A cache is
 trusted only when every line is a matrix with entries in range(p), in its
 canonical form, of determinant 1 and distinct from the other lines, and
 there are exactly as many lines as the group's closed-form order; those
@@ -25,7 +31,7 @@ import sys
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .finitefield import Fq, fq_make, is_prime
+from .finitefield import fq_make, is_prime
 
 
 class TooLarge(Exception):
@@ -36,28 +42,23 @@ ORDER_CAP = 100_000
 
 
 class GroupOracle:
-    """An enumerated finite matrix group with canonical representatives."""
+    """An enumerated finite matrix group with canonical representatives.
 
-    def __init__(self, name: str, identity, generators, mul, inv, canon):
-        self.name = name
-        self.identity = canon(identity)
-        self.generators = [canon(g) for g in generators]
-        self._mul = mul
-        self._inv = inv
-        self._canon = canon
-        self.elements: list = []
+    A subclass describes one group: `name`, cache `key`, modulus `p`,
+    closed-form `expected_order`, `identity`, `generators`, the canonical
+    product `mul`, `det_is_one` and, where the group has a centre to
+    quotient by, `canon`.
+    """
+
+    def __init__(self) -> None:
+        self.elements: list[tuple] = []
         self._index: dict = {}
         self._orders: list[int] | None = None
 
-    # -- group operations on canonical representatives ----------------------
+    def canon(self, x: tuple) -> tuple:
+        return x
 
-    def mul(self, x, y):
-        return self._canon(self._mul(x, y))
-
-    def inv(self, x):
-        return self._canon(self._inv(x))
-
-    def enumerate(self, cap: int = ORDER_CAP) -> "GroupOracle":
+    def enumerate(self) -> "GroupOracle":
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -66,8 +67,6 @@ class GroupOracle:
                 for g in self.generators:
                     y = self.mul(x, g)
                     if y not in seen:
-                        if len(seen) >= cap:
-                            raise TooLarge(f"closure exceeded {cap}")
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
@@ -115,8 +114,14 @@ class GroupOracle:
         return lcm(*set(self.orders()))
 
     def conjugacy_class(self, x) -> set:
-        # g^-1 is a power of g, so the generators alone give the whole orbit
-        conjugators = [(self.inv(g), g) for g in self.generators]
+        # g^-1 is a power of g, so the generators alone give the whole orbit;
+        # it is the last power of g before the identity
+        conjugators = []
+        for g in self.generators:
+            ginv = g
+            while (nxt := self.mul(ginv, g)) != self.identity:
+                ginv = nxt
+            conjugators.append((ginv, g))
         orbit = {x}
         frontier = [x]
         while frontier:
@@ -150,88 +155,70 @@ class GroupOracle:
         return self._classes_of(set(self.elements))
 
 
-# -- PSL(2, p^2) ------------------------------------------------------------
+class PSL2(GroupOracle):
+    """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2); entries
+    are a0 + a1*w with w^2 = t, the field's non-residue."""
 
+    identity = (1, 0, 0, 0, 0, 0, 1, 0)
+    generators = [(1, 0, 1, 0, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0, 1, 0),
+                  (1, 0, 0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 1, 1, 0)]
 
-def _psl2_ops(f: Fq):
-    p, t = f.p, f.t
-    zero, one = f.zero, f.one
+    def __init__(self, p: int) -> None:
+        super().__init__()
+        q = p * p
+        self.name, self.key, self.p = f"PSL(2,{q})", f"psl2_{q}", p
+        self.expected_order = q * (q * q - 1) // 2
+        if self.expected_order > ORDER_CAP:
+            raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
+        self.t = fq_make(p).t
 
-    def mul(x, y):
-        # entries a0 + a1*w with w^2 = t
-        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
-        (e0, e1), (g0, g1), (h0, h1), (i0, i1) = y
-        return (
-            ((a0 * e0 + b0 * h0 + t * (a1 * e1 + b1 * h1)) % p,
-             (a0 * e1 + a1 * e0 + b0 * h1 + b1 * h0) % p),
-            ((a0 * g0 + b0 * i0 + t * (a1 * g1 + b1 * i1)) % p,
-             (a0 * g1 + a1 * g0 + b0 * i1 + b1 * i0) % p),
-            ((c0 * e0 + d0 * h0 + t * (c1 * e1 + d1 * h1)) % p,
-             (c0 * e1 + c1 * e0 + d0 * h1 + d1 * h0) % p),
-            ((c0 * g0 + d0 * i0 + t * (c1 * g1 + d1 * i1)) % p,
-             (c0 * g1 + c1 * g0 + d0 * i1 + d1 * i0) % p),
-        )
+    def mul(self, x, y):
+        p, t = self.p, self.t
+        a0, a1, b0, b1, c0, c1, d0, d1 = x
+        e0, e1, g0, g1, h0, h1, i0, i1 = y
+        return self.canon((
+            (a0 * e0 + b0 * h0 + t * (a1 * e1 + b1 * h1)) % p,
+            (a0 * e1 + a1 * e0 + b0 * h1 + b1 * h0) % p,
+            (a0 * g0 + b0 * i0 + t * (a1 * g1 + b1 * i1)) % p,
+            (a0 * g1 + a1 * g0 + b0 * i1 + b1 * i0) % p,
+            (c0 * e0 + d0 * h0 + t * (c1 * e1 + d1 * h1)) % p,
+            (c0 * e1 + c1 * e0 + d0 * h1 + d1 * h0) % p,
+            (c0 * g0 + d0 * i0 + t * (c1 * g1 + d1 * i1)) % p,
+            (c0 * g1 + c1 * g0 + d0 * i1 + d1 * i0) % p,
+        ))
 
-    def inv(x):
-        a, b, c, d = x
-        return (d, f.neg(b), f.neg(c), a)
-
-    def canon(x):
+    def canon(self, x):
         # the smaller of x and -x: they first differ at the first nonzero
         # entry v, and x is the smaller when v < p - v
-        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
+        p = self.p
+        a0, a1, b0, b1, c0, c1, d0, d1 = x
         if 2 * (a0 or a1 or b0 or b1 or c0 or c1 or d0 or d1) < p:
             return x
-        return ((-a0 % p, -a1 % p), (-b0 % p, -b1 % p),
-                (-c0 % p, -c1 % p), (-d0 % p, -d1 % p))
+        return (-a0 % p, -a1 % p, -b0 % p, -b1 % p,
+                -c0 % p, -c1 % p, -d0 % p, -d1 % p)
 
-    identity = (one, zero, zero, one)
-    return identity, mul, inv, canon
-
-
-def _psl2_det_is_one(f: Fq):
-    p, t = f.p, f.t
-
-    def det_is_one(x):
-        (a0, a1), (b0, b1), (c0, c1), (d0, d1) = x
+    def det_is_one(self, x) -> bool:
+        p, t = self.p, self.t
+        a0, a1, b0, b1, c0, c1, d0, d1 = x
         return ((a0 * d0 - b0 * c0 + t * (a1 * d1 - b1 * c1)) % p == 1
                 and (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p == 0)
 
-    return det_is_one
+    def unipotent(self, lam) -> tuple:
+        """Canonical representative of the upper unipotent with parameter
+        lam, an element of F_(p^2)."""
+        return self.canon((1, 0, *lam, 0, 0, 1, 0))
 
 
-def psl2_oracle(p: int) -> GroupOracle:
-    """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = p * p
-    if q * (q * q - 1) // 2 > ORDER_CAP:
-        raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
-    f = fq_make(p)
-    identity, mul, inv, canon = _psl2_ops(f)
-    zero, one = f.zero, f.one
-    w = (0, 1)
-    gens = [
-        (one, one, zero, one),
-        (one, w, zero, one),
-        (one, zero, one, one),
-        (one, zero, w, one),
-    ]
-    return GroupOracle(f"PSL(2,{q})", identity, gens, mul, inv, canon)
+class PSL3(GroupOracle):
+    """PSL(3,3) = SL(3,3), whose centre is trivial."""
 
+    name, key, p, expected_order = "PSL(3,3)", "psl3_3", 3, 5616
+    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    # the elementary transvections I + E_ij, i != j
+    generators = [tuple(int(k in (0, 4, 8, 3 * i + j)) for k in range(9))
+                  for i in range(3) for j in range(3) if i != j]
 
-def psl2_unipotent(p: int, lam) -> tuple:
-    """Canonical representative of the upper unipotent with parameter lam."""
-    f = fq_make(p)
-    identity, _mul, _inv, canon = _psl2_ops(f)
-    return canon((f.one, lam, f.zero, f.one))
-
-
-# -- PSL(3, 3) ----------------------------------------------------------------
-
-
-def _psl3_ops():
-    def mul(x, y):
+    def mul(self, x, y):
         a, b, c, d, e, f_, g, h, i = x
         j, k, l_, m, n, o, r, s, u = y
         return (
@@ -243,39 +230,10 @@ def _psl3_ops():
             (g * l_ + h * o + i * u) % 3,
         )
 
-    def inv(x):
-        # adjugate; det = 1 for SL(3,3)
+    def det_is_one(self, x) -> bool:
         a, b, c, d, e, f_, g, h, i = x
-        adj = (
-            e * i - f_ * h, c * h - b * i, b * f_ - c * e,
-            f_ * g - d * i, a * i - c * g, c * d - a * f_,
-            d * h - e * g, b * g - a * h, a * e - b * d,
-        )
-        return tuple(v % 3 for v in adj)
-
-    def canon(x):
-        return x  # SL(3,3) has trivial center
-
-    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    return identity, mul, inv, canon
-
-
-def _psl3_det_is_one(x) -> bool:
-    a, b, c, d, e, f_, g, h, i = x
-    return (a * (e * i - f_ * h) - b * (d * i - f_ * g)
-            + c * (d * h - e * g)) % 3 == 1
-
-
-def psl3_oracle() -> GroupOracle:
-    identity, mul, inv, canon = _psl3_ops()
-    gens = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                m = list(identity)
-                m[3 * i + j] = 1
-                gens.append(tuple(m))
-    return GroupOracle("PSL(3,3)", identity, gens, mul, inv, canon)
+        return (a * (e * i - f_ * h) - b * (d * i - f_ * g)
+                + c * (d * h - e * g)) % 3 == 1
 
 
 # -- construction, caching ----------------------------------------------------
@@ -288,82 +246,57 @@ def cache_dir() -> str:
     return base
 
 
-def _flatten(elem) -> list[int]:
-    out = []
-    for entry in elem:
-        if isinstance(entry, tuple):
-            out.extend(entry)
-        else:
-            out.append(entry)
-    return out
-
-
-def _unflatten_psl2(values: list[int]) -> tuple:
-    pairs = [(values[i], values[i + 1]) for i in range(0, 8, 2)]
-    return tuple(pairs)
-
-
 def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle:
     """Enumerate PSL(2,q) (q = p^2) or PSL(3,3), using the text cache."""
     if kind == "psl2":
         p = isqrt(q) if q >= 1 else 0
         if p * p != q or p == 2 or not is_prime(p):
             raise ValueError(f"q = {q} is not the square of an odd prime")
-        oracle = psl2_oracle(p)
-        order = q * (q * q - 1) // 2
-        key = f"psl2_{q}"
-        width = 8
-        unflatten = _unflatten_psl2
-        det_is_one = _psl2_det_is_one(fq_make(p))
+        group = PSL2(p)
     elif kind == "psl3":
         if q != 3:
             raise ValueError("only PSL(3,3) is supported")
-        oracle = psl3_oracle()
-        p = 3
-        order = 5616
-        key = "psl3_3"
-        width = 9
-        unflatten = tuple
-        det_is_one = _psl3_det_is_one
+        group = PSL3()
     else:
         raise ValueError(f"unknown group kind {kind!r}")
 
-    path = os.path.join(cache_dir(), key + ".txt")
+    p, width = group.p, len(group.identity)
+    path = os.path.join(cache_dir(), group.key + ".txt")
     if not refresh and os.path.exists(path):
         elements = set()
         try:
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
-                    values = [int(v) for v in line.split()]
-                    if len(values) != width:
+                    x = tuple(int(v) for v in line.split())
+                    if len(x) != width:
                         raise ValueError(f"corrupt line {line.strip()!r}")
-                    if min(values) < 0 or max(values) >= p:
+                    if min(x) < 0 or max(x) >= p:
                         raise ValueError(f"entry outside range({p}) in line "
                                          f"{line.strip()!r}")
-                    x = unflatten(values)
-                    if oracle._canon(x) != x:
+                    if group.canon(x) != x:
                         raise ValueError(f"non-canonical line {line.strip()!r}")
-                    if not det_is_one(x):
+                    if not group.det_is_one(x):
                         raise ValueError(f"determinant not 1 in line "
                                          f"{line.strip()!r}")
                     if x in elements:
                         raise ValueError(f"repeated line {line.strip()!r}")
                     elements.add(x)
-            if len(elements) != order:
-                raise ValueError(f"{len(elements)} elements, expected {order}")
+            if len(elements) != group.expected_order:
+                raise ValueError(f"{len(elements)} elements, expected "
+                                 f"{group.expected_order}")
         except ValueError as exc:
             print(f"grunits: rebuilding {path}: {exc}", file=sys.stderr)
         else:
-            oracle._set_elements(elements)
-            return oracle
+            group._set_elements(elements)
+            return group
 
-    oracle.enumerate()
+    group.enumerate()
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for e in oracle.elements:
-            fh.write(" ".join(map(str, _flatten(e))) + "\n")
+        for e in group.elements:
+            fh.write(" ".join(map(str, e)) + "\n")
     os.replace(tmp, path)
-    return oracle
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -380,15 +313,15 @@ def check_square_criterion(p: int) -> bool:
     group = cached_group("psl2", p * p)
     nonzero = [e for e in f.elements() if e != f.zero]
     mu0 = next(e for e in nonzero if not f.is_square(e))
-    c1 = group.conjugacy_class(psl2_unipotent(p, f.one))
-    ct = group.conjugacy_class(psl2_unipotent(p, mu0))
+    c1 = group.conjugacy_class(group.unipotent(f.one))
+    ct = group.conjugacy_class(group.unipotent(mu0))
     for lam in nonzero:
-        u = psl2_unipotent(p, lam)
+        u = group.unipotent(lam)
         if (u in c1) == (u in ct):
             return False  # unipotents must split into exactly these two classes
     for lam in nonzero:
         for mu in nonzero:
-            same = (psl2_unipotent(p, lam) in c1) == (psl2_unipotent(p, mu) in c1)
+            same = (group.unipotent(lam) in c1) == (group.unipotent(mu) in c1)
             if same != f.is_square(f.mul(mu, f.inv(lam))):
                 return False
     return True

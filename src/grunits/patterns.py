@@ -12,20 +12,10 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from itertools import combinations
 
 from .finitefield import fq_make
-
-
-@dataclass(frozen=True)
-class Pattern:
-    p: int
-    members: frozenset[int]
-
-    def is_balanced(self) -> bool:
-        return len(self.members) == (self.p - 1) // 2
 
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:

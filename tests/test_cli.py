@@ -177,3 +177,26 @@ def test_missing_table_is_an_error_not_a_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     missing = tmp_path / "psl33.tbl"
     assert proc.stderr.strip() == f"grunits: error: missing file {missing}"
+
+
+@pytest.mark.parametrize("unusable", ["data-dir-is-file", "home-is-file",
+                                      "cache-is-dir"])
+def test_unusable_cache_location_is_an_error_not_a_traceback(unusable,
+                                                            tmp_path):
+    env = {**os.environ, "HOME": str(tmp_path)}
+    argv = ["oracle", "--group", "psl2", "--q", "9"]
+    if unusable == "data-dir-is-file":
+        (tmp_path / "file").write_text("")
+        env["GRS_DATA_DIR"] = str(tmp_path / "file")
+    elif unusable == "home-is-file":
+        (tmp_path / "file").write_text("")
+        env["HOME"] = str(tmp_path / "file")
+        argv = ["invariants"]
+    else:
+        (tmp_path / "psl2_9.txt").mkdir()
+        env["GRS_DATA_DIR"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "grunits.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

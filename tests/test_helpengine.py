@@ -6,6 +6,7 @@ from grunits.chardata import psl2_slice, psl33_slice
 from grunits.helpengine import (
     Assignment,
     UnassignedClass,
+    _int_rows,
     feasible_distributions,
     hyperplane_table,
     linear_characters,
@@ -168,6 +169,14 @@ def test_psl2_witnesses_match_row_by_row_rule(p):
     t = psl2_slice(p)
     scan = feasible_distributions(list(t.chars), p, 2, ("c", "d"))
     assert scan.witnesses == _row_by_row_witnesses(list(t.chars), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_psl2_rows_collapse_to_distinct_triples(p):
+    # (p^2 + 5)/2 rows, six distinct (degree, value on c, value on d)
+    rows = _int_rows(list(psl2_slice(p).chars), ("c", "d"))
+    assert [name for name, *_values in rows] == [
+        "triv", "steinberg", "ps1", "ds1", "eta", "eta_t"]
 
 
 def test_psl33_witnesses_pinned():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import lcm
 
@@ -6,14 +7,12 @@ import pytest
 from grunits.chardata import psl33_slice
 from grunits.finitefield import fq_make
 from grunits.oracle import (
-    GroupOracle,
+    PSL2,
+    PSL3,
     TooLarge,
-    _psl2_ops,
-    _psl3_ops,
     cached_group,
     check_square_criterion,
     enumerate_group,
-    psl2_oracle,
 )
 
 
@@ -74,14 +73,17 @@ def test_class_lists_are_minimal_representatives_in_order(kind, q):
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
     g = cached_group(kind, q)
-    gens = g.generators + [g.inv(h) for h in g.generators]
+    # inverses by search, independent of the power walk conjugacy_class uses
+    inv = {h: next(x for x in g.elements if g.mul(h, x) == g.identity)
+           for h in g.generators}
+    inv.update({hinv: h for h, hinv in list(inv.items())})
     p = 3 if kind == "psl3" else round(q ** 0.5)
     for rep, size in g.order_p_classes(p):
         orbit, frontier = {rep}, [rep]
         while frontier:
             y = frontier.pop()
-            for h in gens:
-                z = g.mul(g.mul(g.inv(h), y), h)
+            for h, hinv in inv.items():
+                z = g.mul(g.mul(hinv, y), h)
                 if z not in orbit:
                     orbit.add(z)
                     frontier.append(z)
@@ -89,14 +91,22 @@ def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
         assert len(orbit) == size
 
 
-def _random_fq_matrix(rng, p):
-    return tuple((rng.randrange(p), rng.randrange(p)) for _ in range(4))
+def _random_flat_matrix(rng, p):
+    return tuple(rng.randrange(p) for _ in range(8))
+
+
+def _pairs(x):
+    return tuple(x[i:i + 2] for i in range(0, 8, 2))
+
+
+def _flat(x):
+    return tuple(v for entry in x for v in entry)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_psl2_product_and_canon_match_field_arithmetic(p):
     f = fq_make(p)
-    _identity, mul, _inv, canon = _psl2_ops(f)
+    group = PSL2(p)
 
     def field_mul(x, y):
         a, b, c, d = x
@@ -116,17 +126,19 @@ def test_psl2_product_and_canon_match_field_arithmetic(p):
         pairs = [(x, y) for x in elements for y in elements]
     else:
         rng = random.Random(p)
-        pairs = [(_random_fq_matrix(rng, p), _random_fq_matrix(rng, p))
+        pairs = [(_random_flat_matrix(rng, p), _random_flat_matrix(rng, p))
                  for _ in range(5000)]
     for x, y in pairs:
-        xy = mul(x, y)
-        assert xy == field_mul(x, y)
-        assert canon(xy) == field_canon(xy)
-    assert all(canon(x) == field_canon(x) for x, _y in pairs)
+        xy = field_mul(_pairs(x), _pairs(y))
+        want = _flat(field_canon(xy))
+        assert group.mul(x, y) == want
+        assert group.canon(_flat(xy)) == want
+    assert all(group.canon(x) == _flat(field_canon(_pairs(x)))
+               for x, _y in pairs)
 
 
 def test_psl3_product_matches_index_loop():
-    _identity, mul, _inv, _canon = _psl3_ops()
+    mul = PSL3().mul
 
     def loop_mul(x, y):
         out = [0] * 9
@@ -144,16 +156,16 @@ def test_psl3_product_matches_index_loop():
 
 
 def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
-    g = psl2_oracle(5).enumerate()
+    g = PSL2(5).enumerate()
     products = 0
-    mul = GroupOracle.mul
+    mul = type(g).mul
 
     def counted(self, x, y):
         nonlocal products
         products += 1
         return mul(self, x, y)
 
-    monkeypatch.setattr(GroupOracle, "mul", counted)
+    monkeypatch.setattr(type(g), "mul", counted)
     g.order_p_classes(5)
     g.exponent()
     # one walk per element costs 143,626 products here
@@ -176,7 +188,7 @@ def test_square_criterion(p):
 
 def test_too_large_guard():
     with pytest.raises(TooLarge):
-        psl2_oracle(11)
+        PSL2(11)
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
@@ -187,6 +199,22 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert g2.order == g1.order == 360
     g3 = enumerate_group("psl2", 9, refresh=True)
     assert g3.order == 360
+
+
+# the cache file format is pinned, so caches written by earlier versions keep
+# loading without a rebuild
+CACHE_SHA256 = {
+    ("psl2", 9): "3cb13042e844e412cce5ab7f100a4d90ed01c2a43fd1e7784ee2da8ae7b83199",
+    ("psl3", 3): "6bc35656aa299a72cb8c5c85b359f4d2059eafa2bb231afa80d5b986ab9a20ea",
+}
+
+
+@pytest.mark.parametrize("kind,q", sorted(CACHE_SHA256))
+def test_cache_file_format_is_pinned(kind, q, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    enumerate_group(kind, q, refresh=True)
+    data = (tmp_path / f"{kind}_{q}.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256[kind, q]
 
 
 def _negated(line: str) -> str:

@@ -1,16 +1,10 @@
 import pytest
 
 from grunits.patterns import (
-    Pattern,
     balanced_patterns,
     gap_report,
     group_patterns,
 )
-
-
-def test_pattern_balanced():
-    assert Pattern(7, frozenset({1, 2, 4})).is_balanced()
-    assert not Pattern(7, frozenset({1, 2})).is_balanced()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
