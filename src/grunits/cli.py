@@ -162,7 +162,7 @@ def cmd_patterns(args, parser) -> int:
     t0 = time.monotonic()
     try:
         result = gap_report(args.p)
-    except NotPrime as exc:
+    except (NotPrime, ValueError) as exc:
         parser.error(f"--p {args.p}: {exc}")
     if not args.list_missing:
         result.pop("missing", None)
@@ -218,7 +218,7 @@ def _invariant_checks() -> list[dict]:
         ("oracle |PSL(3,3)| = 5616", cached_group("psl3", 3).order == 5616),
         ("square-class conjugacy criterion p=3", check_square_criterion(3)),
         ("pattern normalization p=11",
-         len(group_patterns(11)) <= (11 * 11 - 1) // 2),
+         len(group_patterns(11)) == (11 * 11 - 1) // 4),
         ("construct psl2 p=5 {1,2}",
          verify_unit_group(build_psl2_units(5, {1, 2}))["ok"]),
         ("construct psl33", verify_unit_group(build_psl33_units())["ok"]),

@@ -7,7 +7,8 @@ in the enumerated group for small p).  A pair (g, h) with g of square and
 h of non-square parameter realizes the pattern {i : g + i*h has square
 parameter}.  Square scaling leaves the pattern invariant, so g may be
 normalized to 1; the full (lambda, mu) enumeration is kept as an internal
-cross-check.
+cross-check.  That check costs O(p^5) square tests, so p is capped at
+MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -17,18 +18,24 @@ from itertools import combinations
 
 from .finitefield import fq_make
 
+MAX_PRIME = 23
+
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:
-    out = []
-    for i in range(1, f.p):
-        v = f.add(lam, f.mul(f.scalar(i), mu))
-        if f.is_square(v):
-            out.append(i)
-    return frozenset(out)
+    """{i in 1..p-1 : lam + i*mu is a square}, read off `f.squares`."""
+    p, squares = f.p, f.squares
+    a, b = lam
+    c, d = mu
+    return frozenset(
+        i for i in range(1, p)
+        if ((a + i * c) % p, (b + i * d) % p) in squares
+    )
 
 
 def group_patterns(p: int) -> set[frozenset[int]]:
     """All patterns realized by pairs (g, h), g square class, h non-square."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p capped at {MAX_PRIME}")
     f = fq_make(p)
     nonsquares = [e for e in f.elements() if e != f.zero and not f.is_square(e)]
     normalized = {_pattern_of(f, f.one, mu) for mu in nonsquares}

@@ -142,6 +142,7 @@ def test_usage_errors():
     ["oracle", "--group", "psl2", "--q", "4"],
     ["construct", "psl33", "--p", "5", "--pattern", "1,2"],
     ["oracle", "--group", "psl2", "--q", "-9"],
+    ["patterns", "--p", "29"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(

@@ -59,12 +59,29 @@ def test_unit_group_order_and_frobenius(p):
     for e in f.elements():
         if e != f.zero:
             assert f.pow(e, q - 1) == f.one
-        if f.frobenius(e) == e:
+        if f.pow(e, p) == e:
             fixed.append(e)
     assert sorted(fixed) == sorted(f.scalar(a) for a in range(p))
-    # Frobenius is multiplicative
+    # Frobenius x -> x^p is multiplicative
     a, b = (1, 1), (2, 1)
-    assert f.frobenius(f.mul(a, b)) == f.mul(f.frobenius(a), f.frobenius(b))
+    assert f.pow(f.mul(a, b), p) == f.mul(f.pow(a, p), f.pow(b, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_square_table_matches_euler_and_norm(p):
+    f = fq_make(p)
+    q = p * p
+    assert len(f.squares) == (q - 1) // 2
+    for a, b in f.elements():
+        x = (a, b)
+        if x == f.zero:
+            continue
+        euler = f.pow(x, (q - 1) // 2) == f.one
+        # x is a square of F_(p^2) iff its norm a^2 - t b^2 is a square of F_p
+        norm = pow((a * a - f.t * b * b) % p, (p - 1) // 2, p) == 1
+        assert f.is_square(x) == euler == norm, x
+    with pytest.raises(ZeroElement):
+        f.is_square(f.zero)
 
 
 @pytest.mark.parametrize("p,expected", [(3, (2, 2)), (7, (4, 4)), (11, (6, 6))])

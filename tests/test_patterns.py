@@ -1,17 +1,75 @@
 import pytest
 
+from grunits.finitefield import Fq, fq_make
 from grunits.patterns import (
+    _pattern_of,
     balanced_patterns,
     gap_report,
     group_patterns,
 )
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def _euler_is_square(f, x):
+    return f.pow(x, (f.q - 1) // 2) == f.one
+
+
+def _euler_pattern_of(f, lam, mu):
+    """Reference pattern loop: field operations and one Euler
+    exponentiation per member, no square table."""
+    out = []
+    for i in range(1, f.p):
+        v = f.add(lam, f.mul(f.scalar(i), mu))
+        if _euler_is_square(f, v):
+            out.append(i)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_group_patterns_are_balanced(p):
     pats = group_patterns(p)
     assert all(len(s) == (p - 1) // 2 for s in pats)
-    assert len(pats) <= (p * p - 1) // 2
+    # mu and mu^p give one pattern, and no non-square lies in F_p, so the
+    # (p^2-1)/2 non-squares fall into (p^2-1)/4 Frobenius pairs; every pair
+    # gives its own pattern at each p measured
+    assert len(pats) == (p * p - 1) // 4
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_group_patterns_match_euler_reference(p):
+    f = fq_make(p)
+    nonsquares = [e for e in f.elements()
+                  if e != f.zero and not _euler_is_square(f, e)]
+    assert group_patterns(p) == {
+        _euler_pattern_of(f, f.one, mu) for mu in nonsquares}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pattern_of_matches_euler_reference_for_every_pair(p):
+    f = fq_make(p)
+    nonzero = [e for e in f.elements() if e != f.zero]
+    squares = [e for e in nonzero if _euler_is_square(f, e)]
+    nonsquares = [e for e in nonzero if not _euler_is_square(f, e)]
+    for lam in squares:
+        for mu in nonsquares:
+            assert _pattern_of(f, lam, mu) == _euler_pattern_of(f, lam, mu)
+
+
+def test_group_patterns_makes_no_exponentiation(monkeypatch):
+    fq_pow = Fq.pow
+    calls = []
+
+    def counting(self, x, k):
+        calls.append(k)
+        return fq_pow(self, x, k)
+
+    monkeypatch.setattr(Fq, "pow", counting)
+    group_patterns(13)
+    assert calls == []
+
+
+def test_group_patterns_cap():
+    with pytest.raises(ValueError, match="p capped at 23"):
+        group_patterns(29)
 
 
 @pytest.mark.parametrize("p", [3, 5])
