@@ -3,14 +3,17 @@
 Every report field is exact (integers or "a/b" strings); the only
 non-deterministic field is wall_clock_s, which callers comparing reports
 should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
-1 a validation failed (the witness is printed), 2 usage error, missing
-data file or a path that cannot be used (the cache location, --json PATH).
+1 a validation failed (the witness is printed), or the reader closed
+stdout before the report was written (`| head`; nothing is printed),
+2 usage error, missing data file or a path that cannot be used (the cache
+location, --json PATH).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import isqrt
@@ -152,8 +155,7 @@ def cmd_construct(args, parser) -> int:
         ok = result["ok"]
         if args.kind == "psl2":
             result["valenti_witness"] = valenti_search(
-                frozenset(result["trace_pattern"]), args.p,
-                group_patterns(args.p))
+                frozenset(result["trace_pattern"]), args.p)
     report = _run_report("construct", params, result, ok, t0)
     return _emit(report, args.json)
 
@@ -293,7 +295,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "chartab" and args.group == "psl2" and args.p is None:
         parser.error("--p is required with --group psl2")
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again (the recipe in Python's `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValidationError, ParseError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,8 @@ the representation faithful), then recovers every element's partial
 augmentations by one exact solve from augmentation one and the
 distinguished traces, and checks integrality and class counts.  For
 PSL(2,p^2) it also reads the mixed-class pattern off the verified `eta`
-traces; the Valenti search takes that pattern.  The other character values
+traces; the Valenti search scans the non-squares mu of F_(p^2) for a Sylow
+generator pair (1, mu) realizing that pattern.  The other character values
 carry no information of their own: `element_profile` synthesizes them from
 the solved augmentations, as the reference that tests compare against.
 """
@@ -337,27 +338,26 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     }
 
 
-def valenti_search(target: frozenset[int], p: int,
-                   group_side: set[frozenset[int]]) -> dict | None:
+def valenti_search(target: frozenset[int], p: int) -> dict | None:
     """Search for a character-value-preserving isomorphism onto a Sylow pair.
 
     `target` is the unit group's mixed-class pattern, the `trace_pattern`
     of a verified group (which also proves its generators lie on classes c
     and d).  A witness is a group-side generator pair realizing it; pattern
     equality is exactly value preservation on every element because powers
-    stay in their generator's class.  None certifies that no such
+    stay in their generator's class.  Square scaling leaves a pattern
+    invariant, so g = 1 and the non-squares mu are scanned in field order
+    for h; None, when no mu realizes the target, certifies that no such
     isomorphism exists.
     """
-    if target not in group_side:
-        return None
     f = fq_make(p)
-    for e in f.elements():
-        if e == f.zero or f.is_square(e):
+    for mu in f.elements():
+        if mu == f.zero or f.is_square(mu):
             continue
-        if _pattern_of(f, f.one, e) == target:
+        if _pattern_of(f, f.one, mu) == target:
             return {
                 "pattern": sorted(target),
                 "g": f.format(f.one),
-                "h": f.format(e),
+                "h": f.format(mu),
             }
-    raise AssertionError("pattern in group set but no realizing pair found")
+    return None

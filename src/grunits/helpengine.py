@@ -155,33 +155,6 @@ def _check_flags(rows, flags, p: int, size: int, hyperplanes):
     return None
 
 
-def _symmetry_probe(rows, p, rank, points, hyperplanes) -> bool:
-    """Compare full multiplicity multisets of two distinct assignments with
-    equal counts.  Valid for rank 2, where a kernel meets exactly one
-    cyclic subgroup; the scan relies on this and verifies it once."""
-    n = len(points)
-    x = n // 2
-    first = [1] * x + [0] * (n - x)
-    second = list(first)
-    second[0], second[-1] = second[-1], second[0]
-    size = p ** rank
-
-    def multiset(flags):
-        out = []
-        nn = len(flags)
-        xx = sum(flags)
-        for _name, deg, va, vb in rows:
-            s = xx * va + (nn - xx) * vb
-            ms = [Fraction(deg + (p - 1) * s, size)]
-            for _e, inside in hyperplanes:
-                k = sum(va if flags[i] else vb for i in inside)
-                ms.append(Fraction(deg - s + p * k, size))
-            out.append(sorted(ms))
-        return out
-
-    return multiset(first) == multiset(second)
-
-
 def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                            class_ids: tuple[str, str]) -> ScanResult:
     """Scan class-distribution counts x for HeLP feasibility.
@@ -189,8 +162,11 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     x counts the cyclic subgroups assigned to class_ids[0].  The trivial-
     character multiplicities depend on x alone and are tested once per x;
     the kernel characters are tested over the candidate assignments with
-    that count.  For rank 2 the multiplicity multiset depends on x alone
-    (verified per run), so one representative per x is the only candidate.
+    that count.  For rank 2 each of the p+1 kernels contains exactly one
+    cyclic subgroup and each subgroup lies in exactly one kernel (checked
+    per run on the hyperplane table), so the kernel multiplicities are the
+    multiset of the subgroups' values, which depends on x alone, and one
+    representative per x is the only candidate.
     For rank 3 that symmetry genuinely fails: kernel hyperplanes see the
     geometry of the assigned point set, so every assignment with count x is
     a candidate.  x is feasible when its count passes and some candidate
@@ -213,7 +189,8 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                  "counts, so surviving counts are settled by exhausting "
                  "all assignments with that count"]
     else:
-        if not _symmetry_probe(rows, p, rank, points, hyperplanes):
+        incidence = sorted(sorted(inside) for _e, inside in hyperplanes)
+        if incidence != [[i] for i in range(n)]:
             raise AssertionError("count symmetry failed for rank 2")
         notes = ["rank 2: representative assignments suffice "
                  "(count symmetry verified this run)"]

@@ -98,10 +98,3 @@ def mrsw_conjugate_to_group_element(a: AugVector) -> bool:
     """True iff all partial augmentations are non-negative."""
     return all(a.values[x] >= 0 for x in a.support)
 
-
-def admissible_subgroup(order: int, exponent: int,
-                        g_order: int, g_exponent: int) -> bool:
-    """Order and exponent of a finite unit subgroup must divide those of G."""
-    if min(order, exponent, g_order, g_exponent) < 1:
-        raise ValueError("all arguments must be positive")
-    return g_order % order == 0 and g_exponent % exponent == 0

@@ -27,7 +27,7 @@ from grunits.helpengine import (
 )
 from grunits.oracle import cached_group, check_square_criterion
 from grunits.partialaug import AugVector, invert_profile, synthesize_profile
-from grunits.patterns import gap_report, group_patterns
+from grunits.patterns import gap_report
 
 
 def _verdict(capsys, label: str, ok: bool) -> None:
@@ -93,15 +93,13 @@ def test_criterion_4_counterexample_certification(capsys):
     ug = build_psl2_units(7, {1, 2, 4})
     report = verify_unit_group(ug)
     ok = report["ok"] and all(e["mrsw"] for e in report["elements"])
-    ok &= valenti_search(frozenset(report["trace_pattern"]), 7,
-                         group_patterns(7)) is None
+    ok &= valenti_search(frozenset(report["trace_pattern"]), 7) is None
     for p in (3, 5):
-        gp = group_patterns(p)
         for members in combinations(range(1, p), (p - 1) // 2):
             report2 = verify_unit_group(build_psl2_units(p, set(members)))
             ok &= report2["ok"]
-            ok &= valenti_search(frozenset(report2["trace_pattern"]), p,
-                                 gp) is not None
+            ok &= valenti_search(frozenset(report2["trace_pattern"]),
+                                 p) is not None
     _verdict(capsys, "4 (counterexample certification)", ok)
 
 

@@ -201,3 +201,23 @@ def test_unusable_cache_location_is_an_error_not_a_traceback(unusable,
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+def test_unusable_json_path_is_an_error(tmp_path, capsys):
+    # a directory cannot be opened for writing: exit 2 with the path
+    assert main(["patterns", "--p", "7", "--json", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"grunits: error: {tmp_path}: ")
+
+
+@pytest.mark.parametrize("buffering", [1, -1])
+def test_closed_stdout_exits_quietly(buffering, monkeypatch, capsys):
+    # a reader that closes early (`| head`): the write raises
+    # BrokenPipeError in print when line-buffered, else in the final flush
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with os.fdopen(write_fd, "w", buffering=buffering) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["patterns", "--p", "7"]) == 1
+        monkeypatch.undo()
+        closed.flush()  # stdout now points at devnull, so exit flushes cleanly
+    assert capsys.readouterr().err == ""

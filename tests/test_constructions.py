@@ -12,9 +12,10 @@ from grunits.constructions import (
     valenti_search,
     verify_unit_group,
 )
+from grunits.finitefield import fq_make
 from grunits.matrices import BlockDiag, QMatrix, companion_cyclotomic
 from grunits.partialaug import CharProfile, invert_profile
-from grunits.patterns import group_patterns
+from grunits.patterns import balanced_patterns, group_patterns
 
 
 def test_bad_pattern_rejected():
@@ -65,24 +66,42 @@ def _trace_pattern(p, members):
 
 
 def test_valenti_search_counterexample():
-    gp = group_patterns(7)
-    assert valenti_search(_trace_pattern(7, {1, 2, 4}), 7, gp) is None
+    assert valenti_search(_trace_pattern(7, {1, 2, 4}), 7) is None
 
 
 def test_valenti_search_realizable():
-    gp = group_patterns(7)
-    witness = valenti_search(_trace_pattern(7, {1, 2, 3}), 7, gp)
+    witness = valenti_search(_trace_pattern(7, {1, 2, 3}), 7)
     assert witness is not None
     assert witness["pattern"] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_valenti_search_small_p_always_witnessed(p):
-    gp = group_patterns(p)
     half = (p - 1) // 2
     for members in combinations(range(1, p), half):
         target = _trace_pattern(p, set(members))
-        assert valenti_search(target, p, gp) is not None
+        assert valenti_search(target, p) is not None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_valenti_search_agrees_with_group_patterns(p):
+    # group_patterns, with its full (lambda, mu) cross-check, is the
+    # reference for which balanced patterns a Sylow pair realizes
+    f = fq_make(p)
+    realizable = group_patterns(p)
+    for target in balanced_patterns(p):
+        witness = valenti_search(target, p)
+        assert (witness is None) == (target not in realizable)
+        if witness is None:
+            continue
+        assert witness["g"] == f.format(f.one)
+        h = tuple(int(c) for c in witness["h"].removesuffix("*w").split("+"))
+        assert not f.is_square(h)
+        # 1 + i*h is never 0: -1/i lies in F_p, and F_p consists of squares
+        realized = {i for i in range(1, p)
+                    if f.is_square(f.add(f.one, f.mul(f.scalar(i), h)))}
+        assert realized == target
+        assert witness["pattern"] == sorted(target)
 
 
 def test_psl33_construction():

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from grunits import helpengine
 from grunits.chardata import psl2_slice, psl33_slice
 from grunits.helpengine import (
     Assignment,
@@ -124,6 +126,30 @@ def test_psl33_x7_needs_exhaustion():
 def test_p2_early_exit():
     with pytest.raises(ValueError):
         feasible_distributions([], 2, 2, ("c", "d"))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_rank2_kernels_meet_one_subgroup_each(p):
+    # the premise that makes one representative per count exact at rank 2
+    table = hyperplane_table(p, 2)
+    assert len(table) == p + 1
+    assert all(len(inside) == 1 for _e, inside in table)
+    hits = Counter(i for _e, inside in table for i in inside)
+    assert hits == Counter(range(p + 1))
+
+
+def test_rank2_scan_rejects_a_kernel_with_two_subgroups(monkeypatch):
+    real = helpengine.hyperplane_table
+
+    def two_in_first_kernel(p, rank):
+        table = real(p, rank)
+        e, inside = table[0]
+        table[0] = (e, inside | {max(inside) + 1})
+        return table
+
+    monkeypatch.setattr(helpengine, "hyperplane_table", two_in_first_kernel)
+    with pytest.raises(AssertionError, match="count symmetry failed"):
+        feasible_distributions(list(psl2_slice(5).chars), 5, 2, ("c", "d"))
 
 
 def test_scan_json_shape():

@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from grunits.chardata import CharSlice, psl2_slice, psl33_slice
-from grunits.oracle import cached_group
 from grunits.partialaug import (
     AugVector,
     CharProfile,
     Inconsistent,
     Underdetermined,
-    admissible_subgroup,
     invert_profile,
     mrsw_conjugate_to_group_element,
     synthesize_profile,
@@ -127,15 +125,3 @@ def test_mrsw_examples():
     assert mrsw_conjugate_to_group_element(ok)
     assert not mrsw_conjugate_to_group_element(bad)
     assert mrsw_conjugate_to_group_element(flip)
-
-
-def test_admissible_subgroup():
-    psl33 = cached_group("psl3", 3)
-    assert admissible_subgroup(27, 3, psl33.order, psl33.exponent())
-    # p-part of |PSL(2,49)| is 49, so order p^3 is inadmissible
-    p = 7
-    g_order = 49 * (49 * 49 - 1) // 2
-    assert not admissible_subgroup(p ** 3, p, g_order, g_order)
-    assert admissible_subgroup(1, 1, 5, 5)
-    with pytest.raises(ValueError):
-        admissible_subgroup(0, 1, 1, 1)
