@@ -12,9 +12,15 @@ All multiplicities are computed exactly.  The direct definition
 
 is implemented verbatim in :func:`multiplicity`; scans use the equivalent
 closed form obtained by summing each cyclic subgroup first (the root-of-
-unity sum over a line is p-1 on the kernel and -1 off it), which keeps the
-largest scans instant.  Tests pin :func:`multiplicity` against that
-closed form.
+unity sum over a line is p-1 on the kernel and -1 off it).  Tests pin
+:func:`multiplicity` against that closed form.
+
+In the closed form a kernel character's multiplicity depends only on the
+count x of first-class subgroups and on how many of them its kernel
+holds, so a scan turns the rows into one allowed set of intersection
+counts per x and tests an assignment, held as a bit mask, by the
+intersection count with each kernel mask.  :func:`_check_flags` keeps the
+row-by-row test and names the witness of an infeasible count.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .chardata import CharSlice, format_rational
 from .cyclotomic import Cyclotomic, cyclo
@@ -124,9 +131,11 @@ class ScanResult:
     feasible_kernel_only: list[int]
     witnesses: list[dict]
     notes: list[str] = field(default_factory=list)
+    # A(x) by x: the kernel counts m every row allows (see _allowed_counts)
+    allowed_intersections: list[list[int]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "p": self.p,
             "rank": self.rank,
             "classes": list(self.class_ids),
@@ -135,6 +144,11 @@ class ScanResult:
             "witnesses": self.witnesses,
             "notes": self.notes,
         }
+        if self.rank == 3:
+            # at rank 2 each kernel holds one subgroup, so A(x) is a
+            # subset of {0, 1} and its report leaves the key out
+            out["allowed_intersections"] = self.allowed_intersections
+        return out
 
 
 def _check_flags(rows, flags, p: int, size: int, hyperplanes):
@@ -155,23 +169,45 @@ def _check_flags(rows, flags, p: int, size: int, hyperplanes):
     return None
 
 
+def _allowed_counts(rows, p: int, size: int, n: int, line_size: int,
+                    x: int) -> list[int]:
+    """A(x): the counts m of first-class subgroups that a kernel may hold.
+
+    With x of the n subgroups on the first class, a kernel holding m of them
+    gives row (deg, va, vb) the multiplicity (deg - s + p*k) / size, where
+    s = x*va + (n-x)*vb and k = m*va + (line_size-m)*vb; m is allowed when
+    that is a non-negative integer for every row.
+    """
+    def passes(deg: int, va: int, vb: int, m: int) -> bool:
+        num = deg - x * va - (n - x) * vb + p * (m * va + (line_size - m) * vb)
+        return num >= 0 and num % size == 0
+
+    return [m for m in range(line_size + 1)
+            if all(passes(deg, va, vb, m) for _name, deg, va, vb in rows)]
+
+
 def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                            class_ids: tuple[str, str]) -> ScanResult:
     """Scan class-distribution counts x for HeLP feasibility.
 
     x counts the cyclic subgroups assigned to class_ids[0].  The trivial-
-    character multiplicities depend on x alone and are tested once per x;
-    the kernel characters are tested over the candidate assignments with
-    that count.  For rank 2 each of the p+1 kernels contains exactly one
-    cyclic subgroup and each subgroup lies in exactly one kernel (checked
-    per run on the hyperplane table), so the kernel multiplicities are the
-    multiset of the subgroups' values, which depends on x alone, and one
-    representative per x is the only candidate.
+    character multiplicities depend on x alone and are tested once per x.
+    A kernel character's multiplicity depends on x and on m, the number of
+    first-class subgroups in its kernel, alone, so the kernel rows reduce
+    to one allowed set A(x) of counts m per x.  An assignment is a bit mask
+    over the subgroups, and it passes the kernels when every kernel mask
+    meets it in a count from A(x).
+    For rank 2 each of the p+1 kernels contains exactly one cyclic subgroup
+    and each subgroup lies in exactly one kernel (checked per run on the
+    hyperplane table), so the kernel multiplicities are the multiset of the
+    subgroups' values, which depends on x alone, and one representative
+    per x is the only candidate.
     For rank 3 that symmetry genuinely fails: kernel hyperplanes see the
     geometry of the assigned point set, so every assignment with count x is
-    a candidate.  x is feasible when its count passes and some candidate
-    passes the kernels; the witness of an infeasible x is its count-level
-    failure, else the first candidate's kernel failure.
+    a candidate; when A(x) is empty none can pass and none is enumerated.
+    x is feasible when its count passes and some candidate passes the
+    kernels; the witness of an infeasible x is its count-level failure,
+    else the first candidate's kernel failure.
     """
     if p == 2:
         raise ValueError("p must be an odd prime")
@@ -182,6 +218,9 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     rows = _int_rows(theta_set, class_ids)
     n = len(points)
     size = p ** rank
+    line_size = (p ** (rank - 1) - 1) // (p - 1)  # subgroups per kernel
+    lines = [sum(1 << i for i in inside) for _e, inside in hyperplanes]
+    bits = [1 << i for i in range(n)]
     exhaustive = rank == 3
     if exhaustive:
         notes = ["rank 3: the multiplicity of a kernel character sees "
@@ -197,6 +236,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     feasible: list[int] = []
     feasible_kernel: list[int] = []
     witnesses: list[dict] = []
+    allowed_by_x: list[list[int]] = []
 
     for x in range(n + 1):
         # trivial-character multiplicities depend on the count alone
@@ -206,25 +246,25 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
             if num % size or num < 0:
                 count_fail = (name, "trivial", Fraction(num, size))
                 break
-        candidates = (itertools.combinations(range(n), x) if exhaustive
-                      else [range(x)])
+        allowed = _allowed_counts(rows, p, size, n, line_size, x)
+        allowed_by_x.append(allowed)
         kernel_ok = False
-        first_fail = None
-        for checked, subset in enumerate(candidates, 1):
-            flags = [0] * n
-            for i in subset:
-                flags[i] = 1
-            fail = _check_flags(rows, flags, p, size, hyperplanes)
-            if fail is None:
-                kernel_ok = True
-                break
-            first_fail = first_fail or fail
+        checked = comb(n, x)
+        if allowed:
+            candidates = (map(sum, itertools.combinations(bits, x))
+                          if exhaustive else [sum(bits[:x])])
+            for checked, mask in enumerate(candidates, 1):
+                if all((mask & line).bit_count() in allowed for line in lines):
+                    kernel_ok = True
+                    break
         if kernel_ok:
             feasible_kernel.append(x)
             if count_fail is None:
                 feasible.append(x)
                 continue
-        name, chi, m = count_fail or first_fail
+        first = [1] * x + [0] * (n - x)  # the first candidate's flags
+        name, chi, m = count_fail or _check_flags(rows, first, p, size,
+                                                  hyperplanes)
         entry = {"x": x, "theta": name, "chi": chi,
                  "multiplicity": format_rational(m)}
         if exhaustive and count_fail is None:
@@ -238,4 +278,4 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
             f"kernel-character filter {feasible_kernel}"
         )
     return ScanResult(p, rank, class_ids, feasible, feasible_kernel,
-                      witnesses, notes)
+                      witnesses, notes, allowed_by_x)

@@ -1,13 +1,16 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from grunits import helpengine
-from grunits.chardata import psl2_slice, psl33_slice
+from grunits.chardata import CharSlice, format_rational, psl2_slice, psl33_slice
 from grunits.helpengine import (
     Assignment,
     UnassignedClass,
+    _check_flags,
     _int_rows,
     feasible_distributions,
     hyperplane_table,
@@ -218,3 +221,136 @@ def test_psl33_witnesses_pinned():
                         "assignments_checked": 1716})
     assert scan.witnesses == expected
     assert scan.feasible == scan.feasible_kernel_only == []
+
+
+def test_psl33_allowed_intersections_pinned():
+    scan = feasible_distributions(list(psl33_slice().chars), 3, 3, ("a", "b"))
+    assert scan.allowed_intersections == [
+        [], [2], [], [], [0, 3], [], [], [1, 4], [], [], [2], [], [], [3]]
+    assert scan.to_json()["allowed_intersections"] == scan.allowed_intersections
+
+
+def test_rank2_report_has_no_allowed_intersections():
+    scan = feasible_distributions(list(psl2_slice(5).chars), 5, 2, ("c", "d"))
+    assert "allowed_intersections" not in scan.to_json()
+
+
+# degree 27, -9 on a, 0 on b: at x = 3 the first assignment {0, 1, 2} is
+# collinear and fails the kernels, while a non-collinear triple passes
+SYNTHETIC = [CharSlice("syn", 27, {"a": Fraction(-9), "b": Fraction(0)})]
+
+
+@pytest.mark.parametrize("theta_set, some_pass", [
+    (list(psl33_slice().chars), False), (SYNTHETIC, True)],
+    ids=["psl33", "synthetic"])
+def test_intersection_counts_decide_every_rank3_assignment(theta_set,
+                                                           some_pass):
+    """_check_flags passes exactly the assignments whose intersection count
+    with every kernel lies in A(x), over all 2^13 assignments."""
+    rows = _int_rows(theta_set, ("a", "b"))
+    hyperplanes = hyperplane_table(3, 3)
+    allowed = feasible_distributions(theta_set, 3, 3,
+                                     ("a", "b")).allowed_intersections
+    passing = False
+    for flags in itertools.product((0, 1), repeat=13):
+        by_counts = all(sum(flags[i] for i in inside) in allowed[sum(flags)]
+                        for _e, inside in hyperplanes)
+        by_rows = _check_flags(rows, list(flags), 3, 27, hyperplanes) is None
+        assert by_rows == by_counts, flags
+        passing = passing or by_rows
+    assert passing == some_pass
+
+
+def _row_loop_scan(theta_set, p, rank, class_ids):
+    """The row-by-row scan, the reference for the intersection-count scan:
+    each candidate assignment is a 0/1 flag list tested by _check_flags,
+    and a report without `allowed_intersections` comes out."""
+    n = len(subgroup_points(p, rank))
+    size = p ** rank
+    hyperplanes = hyperplane_table(p, rank)
+    rows = _int_rows(theta_set, class_ids)
+    exhaustive = rank == 3
+    feasible, feasible_kernel, witnesses = [], [], []
+    for x in range(n + 1):
+        count_fail = None
+        for name, deg, va, vb in rows:
+            num = deg + (p - 1) * (x * va + (n - x) * vb)
+            if num % size or num < 0:
+                count_fail = (name, "trivial", Fraction(num, size))
+                break
+        candidates = (itertools.combinations(range(n), x) if exhaustive
+                      else [range(x)])
+        kernel_ok = False
+        first_fail = None
+        for checked, subset in enumerate(candidates, 1):
+            flags = [0] * n
+            for i in subset:
+                flags[i] = 1
+            fail = _check_flags(rows, flags, p, size, hyperplanes)
+            if fail is None:
+                kernel_ok = True
+                break
+            first_fail = first_fail or fail
+        if kernel_ok:
+            feasible_kernel.append(x)
+            if count_fail is None:
+                feasible.append(x)
+                continue
+        name, chi, m = count_fail or first_fail
+        entry = {"x": x, "theta": name, "chi": chi,
+                 "multiplicity": format_rational(m)}
+        if exhaustive and count_fail is None:
+            entry["mode"] = "exhaustive"
+            entry["assignments_checked"] = checked
+        witnesses.append(entry)
+    notes = [
+        "rank 3: the multiplicity of a kernel character sees which "
+        "subgroups its hyperplane contains, not just the counts, so "
+        "surviving counts are settled by exhausting all assignments with "
+        "that count" if exhaustive else
+        "rank 2: representative assignments suffice "
+        "(count symmetry verified this run)"]
+    if feasible != feasible_kernel:
+        notes.append(f"full filter {feasible} is strictly stronger than the "
+                     f"kernel-character filter {feasible_kernel}")
+    return {"p": p, "rank": rank, "classes": list(class_ids),
+            "feasible": feasible, "feasible_kernel_only": feasible_kernel,
+            "witnesses": witnesses, "notes": notes}
+
+
+def _assert_scan_matches_row_loop(theta_set, p, rank, class_ids):
+    scan = feasible_distributions(theta_set, p, rank, class_ids)
+    report = scan.to_json()
+    report.pop("allowed_intersections", None)
+    assert report == _row_loop_scan(theta_set, p, rank, class_ids)
+    return scan
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_psl2_scan_matches_row_loop(p):
+    _assert_scan_matches_row_loop(list(psl2_slice(p).chars), p, 2, ("c", "d"))
+
+
+def test_psl33_scan_matches_row_loop():
+    scan = _assert_scan_matches_row_loop(list(psl33_slice().chars), 3, 3,
+                                         ("a", "b"))
+    assert scan.feasible_kernel_only == []
+
+
+def test_synthetic_rank3_scan_matches_row_loop():
+    rows = _int_rows(SYNTHETIC, ("a", "b"))
+    first = [1, 1, 1] + [0] * 10
+    assert _check_flags(rows, first, 3, 27, hyperplane_table(3, 3)) is not None
+    scan = _assert_scan_matches_row_loop(SYNTHETIC, 3, 3, ("a", "b"))
+    assert scan.feasible_kernel_only == [0, 3, 6, 9, 12]
+    assert scan.feasible == [0]
+
+
+def test_empty_allowed_set_counts_every_assignment_unenumerated():
+    # degree 1, 28 on both classes: the trivial multiplicity 729/27 passes
+    # at every x, every kernel multiplicity is -1, so every A(x) is empty
+    theta_set = [CharSlice("flat", 1, {"a": Fraction(28), "b": Fraction(28)})]
+    scan = _assert_scan_matches_row_loop(theta_set, 3, 3, ("a", "b"))
+    assert scan.allowed_intersections == [[]] * 14
+    assert [w["assignments_checked"] for w in scan.witnesses] == [
+        comb(13, x) for x in range(14)]

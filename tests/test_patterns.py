@@ -1,7 +1,9 @@
 import pytest
 
+from grunits import patterns
 from grunits.finitefield import Fq, fq_make
 from grunits.patterns import (
+    _all_pair_patterns,
     _pattern_of,
     balanced_patterns,
     gap_report,
@@ -52,6 +54,25 @@ def test_pattern_of_matches_euler_reference_for_every_pair(p):
     for lam in squares:
         for mu in nonsquares:
             assert _pattern_of(f, lam, mu) == _euler_pattern_of(f, lam, mu)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_line_walk_matches_every_pair(p):
+    f = fq_make(p)
+    nonzero = [e for e in f.elements() if e != f.zero]
+    squares = [e for e in nonzero if e in f.squares]
+    nonsquares = [e for e in nonzero if e not in f.squares]
+    assert _all_pair_patterns(f, nonsquares) == {
+        _pattern_of(f, lam, mu) for lam in squares for mu in nonsquares}
+
+
+def test_broken_square_table_fails_the_cross_check(monkeypatch):
+    # a table that is no longer closed under square scaling: drop 2 = 3^2
+    broken = Fq(7)
+    broken.squares = broken.squares - {(2, 0)}
+    monkeypatch.setattr(patterns, "fq_make", lambda p: broken)
+    with pytest.raises(AssertionError, match="normalization failed"):
+        group_patterns(7)
 
 
 def test_group_patterns_makes_no_exponentiation(monkeypatch):
