@@ -14,6 +14,10 @@ from fractions import Fraction
 
 from .finitefield import is_prime
 
+# psl2_slice holds (p^2+5)/2 rows, so its memory grows as p^2; p is capped
+# at the largest prime the HeLP scan has been run at
+MAX_PRIME = 101
+
 
 def format_rational(x: Fraction | int) -> str:
     """The exact value as "a/b", or as "a" for an integer."""
@@ -100,6 +104,8 @@ def psl2_slice(p: int) -> TableSlice:
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p capped at {MAX_PRIME}")
     q = p * p
     order = q * (q * q - 1) // 2
     usize = (q * q - 1) // 2

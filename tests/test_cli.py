@@ -115,10 +115,19 @@ def test_invariants_deterministic(tmp_path):
     assert ra == rb
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["help-scan", "--group", "psl2"])  # missing --p
-    assert exc.value.code == 2
+def test_usage_errors(capsys):
+    missing = "--p is required with --group psl2"
+    capped = "--p 103: p capped at 101"
+    for argv, message in [
+        (["help-scan", "--group", "psl2"], missing),
+        (["chartab", "--group", "psl2"], missing),
+        (["help-scan", "--group", "psl2", "--p", "103"], capped),
+        (["chartab", "--group", "psl2", "--p", "103"], capped),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["construct", "psl2", "--p", "7", "--pattern", "1,2"])
     assert exc.value.code == 2
@@ -143,6 +152,8 @@ def test_usage_errors():
     ["construct", "psl33", "--p", "5", "--pattern", "1,2"],
     ["oracle", "--group", "psl2", "--q", "-9"],
     ["patterns", "--p", "29"],
+    ["chartab", "--group", "psl2", "--p", "103"],
+    ["help-scan", "--group", "psl2", "--p", "103"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(

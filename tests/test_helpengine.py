@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -7,16 +8,19 @@ import pytest
 
 from grunits import helpengine
 from grunits.chardata import CharSlice, format_rational, psl2_slice, psl33_slice
+from grunits.cli import main
 from grunits.helpengine import (
-    Assignment,
-    UnassignedClass,
-    _check_flags,
     _int_rows,
     feasible_distributions,
     hyperplane_table,
+    subgroup_points,
+)
+from reference import (
+    Assignment,
+    UnassignedClass,
+    _check_flags,
     linear_characters,
     multiplicity,
-    subgroup_points,
 )
 
 
@@ -102,10 +106,10 @@ def test_closed_form_matches_direct():
 def test_psl2_feasible_set(p):
     t = psl2_slice(p)
     scan = feasible_distributions(list(t.chars), p, 2, ("c", "d"))
-    assert scan.feasible == [(p + 1) // 2]
+    assert scan["feasible"] == [(p + 1) // 2]
     infeasible = set(range(p + 2)) - {(p + 1) // 2}
-    assert {w["x"] for w in scan.witnesses} == infeasible
-    for w in scan.witnesses:
+    assert {w["x"] for w in scan["witnesses"]} == infeasible
+    for w in scan["witnesses"]:
         assert Fraction(w["multiplicity"]).denominator > 1 or \
             Fraction(w["multiplicity"]) < 0
 
@@ -113,15 +117,15 @@ def test_psl2_feasible_set(p):
 def test_psl33_feasible_set_empty():
     t = psl33_slice()
     scan = feasible_distributions(list(t.chars), 3, 3, ("a", "b"))
-    assert scan.feasible == []
-    assert {w["x"] for w in scan.witnesses} == set(range(14))
+    assert scan["feasible"] == []
+    assert {w["x"] for w in scan["witnesses"]} == set(range(14))
 
 
 def test_psl33_x7_needs_exhaustion():
     """x = 7 passes every count-level test; only kernel geometry kills it."""
     t = psl33_slice()
     scan = feasible_distributions(list(t.chars), 3, 3, ("a", "b"))
-    w7 = next(w for w in scan.witnesses if w["x"] == 7)
+    w7 = next(w for w in scan["witnesses"] if w["x"] == 7)
     assert w7.get("mode") == "exhaustive"
     assert w7["assignments_checked"] == 1716
 
@@ -157,7 +161,7 @@ def test_rank2_scan_rejects_a_kernel_with_two_subgroups(monkeypatch):
 
 def test_scan_json_shape():
     t = psl2_slice(3)
-    j = feasible_distributions(list(t.chars), 3, 2, ("c", "d")).to_json()
+    j = feasible_distributions(list(t.chars), 3, 2, ("c", "d"))
     assert j["feasible"] == [2]
     assert j["classes"] == ["c", "d"]
     assert all(set(w) >= {"x", "theta", "chi", "multiplicity"}
@@ -197,7 +201,7 @@ def _row_by_row_witnesses(theta_set, p):
 def test_psl2_witnesses_match_row_by_row_rule(p):
     t = psl2_slice(p)
     scan = feasible_distributions(list(t.chars), p, 2, ("c", "d"))
-    assert scan.witnesses == _row_by_row_witnesses(list(t.chars), p)
+    assert scan["witnesses"] == _row_by_row_witnesses(list(t.chars), p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
@@ -219,20 +223,24 @@ def test_psl33_witnesses_pinned():
     expected.insert(7, {"x": 7, "theta": "chi12", "chi": "ker=0,0,1",
                         "multiplicity": "1/3", "mode": "exhaustive",
                         "assignments_checked": 1716})
-    assert scan.witnesses == expected
-    assert scan.feasible == scan.feasible_kernel_only == []
+    assert scan["witnesses"] == expected
+    assert scan["feasible"] == scan["feasible_kernel_only"] == []
 
 
-def test_psl33_allowed_intersections_pinned():
+def test_psl33_allowed_intersections_pinned(tmp_path):
     scan = feasible_distributions(list(psl33_slice().chars), 3, 3, ("a", "b"))
-    assert scan.allowed_intersections == [
+    assert scan["allowed_intersections"] == [
         [], [2], [], [], [0, 3], [], [], [1, 4], [], [], [2], [], [], [3]]
-    assert scan.to_json()["allowed_intersections"] == scan.allowed_intersections
+    out = tmp_path / "r.json"
+    assert main(["help-scan", "--group", "psl33", "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["result"]["allowed_intersections"] == \
+        scan["allowed_intersections"]
 
 
 def test_rank2_report_has_no_allowed_intersections():
     scan = feasible_distributions(list(psl2_slice(5).chars), 5, 2, ("c", "d"))
-    assert "allowed_intersections" not in scan.to_json()
+    assert "allowed_intersections" not in scan
 
 
 # degree 27, -9 on a, 0 on b: at x = 3 the first assignment {0, 1, 2} is
@@ -250,7 +258,7 @@ def test_intersection_counts_decide_every_rank3_assignment(theta_set,
     rows = _int_rows(theta_set, ("a", "b"))
     hyperplanes = hyperplane_table(3, 3)
     allowed = feasible_distributions(theta_set, 3, 3,
-                                     ("a", "b")).allowed_intersections
+                                     ("a", "b"))["allowed_intersections"]
     passing = False
     for flags in itertools.product((0, 1), repeat=13):
         by_counts = all(sum(flags[i] for i in inside) in allowed[sum(flags)]
@@ -320,7 +328,7 @@ def _row_loop_scan(theta_set, p, rank, class_ids):
 
 def _assert_scan_matches_row_loop(theta_set, p, rank, class_ids):
     scan = feasible_distributions(theta_set, p, rank, class_ids)
-    report = scan.to_json()
+    report = dict(scan)
     report.pop("allowed_intersections", None)
     assert report == _row_loop_scan(theta_set, p, rank, class_ids)
     return scan
@@ -334,7 +342,7 @@ def test_psl2_scan_matches_row_loop(p):
 def test_psl33_scan_matches_row_loop():
     scan = _assert_scan_matches_row_loop(list(psl33_slice().chars), 3, 3,
                                          ("a", "b"))
-    assert scan.feasible_kernel_only == []
+    assert scan["feasible_kernel_only"] == []
 
 
 def test_synthetic_rank3_scan_matches_row_loop():
@@ -342,8 +350,8 @@ def test_synthetic_rank3_scan_matches_row_loop():
     first = [1, 1, 1] + [0] * 10
     assert _check_flags(rows, first, 3, 27, hyperplane_table(3, 3)) is not None
     scan = _assert_scan_matches_row_loop(SYNTHETIC, 3, 3, ("a", "b"))
-    assert scan.feasible_kernel_only == [0, 3, 6, 9, 12]
-    assert scan.feasible == [0]
+    assert scan["feasible_kernel_only"] == [0, 3, 6, 9, 12]
+    assert scan["feasible"] == [0]
 
 
 def test_empty_allowed_set_counts_every_assignment_unenumerated():
@@ -351,6 +359,6 @@ def test_empty_allowed_set_counts_every_assignment_unenumerated():
     # at every x, every kernel multiplicity is -1, so every A(x) is empty
     theta_set = [CharSlice("flat", 1, {"a": Fraction(28), "b": Fraction(28)})]
     scan = _assert_scan_matches_row_loop(theta_set, 3, 3, ("a", "b"))
-    assert scan.allowed_intersections == [[]] * 14
-    assert [w["assignments_checked"] for w in scan.witnesses] == [
+    assert scan["allowed_intersections"] == [[]] * 14
+    assert [w["assignments_checked"] for w in scan["witnesses"]] == [
         comb(13, x) for x in range(14)]
