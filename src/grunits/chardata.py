@@ -59,7 +59,7 @@ class TableSlice:
         for ch in self.chars:
             if ch.name == name:
                 return ch
-        raise KeyError(name)
+        raise ValidationError(f"{self.group} table has no row {name}")
 
     def to_json(self) -> dict:
         return {
@@ -102,10 +102,10 @@ def psl2_slice(p: int) -> TableSlice:
     values (p+1)/2 and (1-p)/2 on c and d.  All remaining irreducible rows
     take equal values on c and d.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     if p > MAX_PRIME:
         raise ValueError(f"p capped at {MAX_PRIME}")
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
     q = p * p
     order = q * (q * q - 1) // 2
     usize = (q * q - 1) // 2
@@ -267,7 +267,8 @@ def mixed_value_decomposition(t: TableSlice, x: str, y: str,
             n2 = delta / d2
         rest_deg = ch.degree - n1 * b1.degree - n2 * b2.degree
         ok = (
-            n1.denominator == 1
+            delta == n1 * d1 + n2 * d2
+            and n1.denominator == 1
             and n2.denominator == 1
             and n1 >= 0
             and n2 >= 0

@@ -71,9 +71,15 @@ def _emit(report: dict, json_path: str | None) -> int:
 
 def _parse_pattern(text: str, parser) -> set[int]:
     try:
-        return {int(tok) for tok in text.split(",") if tok.strip()}
+        entries = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"bad --pattern {text!r}: expected comma-separated integers")
+    members: set[int] = set()
+    for entry in entries:
+        if entry in members:
+            parser.error(f"bad --pattern {text!r}: repeated entry {entry}")
+        members.add(entry)
+    return members
 
 
 def _psl2_table(p: int | None, parser) -> TableSlice:

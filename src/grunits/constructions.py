@@ -15,37 +15,59 @@ traces are read off the tables; nothing is multiplied out per element.
 Verification proves with real matrix products the premises that make the
 exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
 the representation faithful), then recovers every element's partial
-augmentations by one exact solve from augmentation one and the
-distinguished traces, and checks integrality and class counts.  For
-PSL(2,p^2) it also reads the mixed-class pattern off the verified `eta`
-traces; the Valenti search scans the non-squares mu of F_(p^2) for a Sylow
-generator pair (1, mu) realizing that pattern.  The other character values
-carry no information of their own: `element_profile` synthesizes them from
-the solved augmentations, as the reference that tests compare against.
+augmentations (eps_x, eps_y) on the two order-p classes x, y in closed
+form (`invert_profile`): augmentation one and the first distinguished row
+separating x and y give the pair as exact `Fraction`s, and every
+distinguished row is checked against it.  Integrality, class counts and
+the Marciniak-Ritter-Sehgal-Weiss sign test (rationally conjugate to a
+group element iff both are non-negative) are read off the pair.  The
+distinguished rows are looked up, and checked to separate x and y, once
+per group, so a table from GRS_DATA_DIR failing either is a
+`ValidationError`.  For PSL(2,p^2) verification also reads the mixed-class
+pattern off the verified `eta` traces; the Valenti search scans the
+non-squares mu of F_(p^2) for a Sylow generator pair (1, mu) realizing
+that pattern.  The other character values carry no information of their
+own: `element_profile` synthesizes them from the solved augmentations, as
+the reference that tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chardata import TableSlice, format_rational, psl2_slice, psl33_slice
+from .chardata import (CharSlice, TableSlice, ValidationError,
+                       format_rational, psl2_slice, psl33_slice)
 from .finitefield import fq_make, is_prime
 from .matrices import BlockDiag, QMatrix, companion_cyclotomic
-from .partialaug import (
-    AugVector,
-    CharProfile,
-    Inconsistent,
-    invert_profile,
-    mrsw_conjugate_to_group_element,
-    synthesize_profile,
-)
 from .patterns import _pattern_of
 
 
 class BadPattern(Exception):
     pass
+
+
+class Inconsistent(Exception):
+    """The traces admit no exact augmentation solution."""
+
+
+def invert_profile(rows: list[CharSlice], traces: dict[str, Fraction],
+                   support: tuple[str, str]) -> tuple[Fraction, Fraction]:
+    """(eps_x, eps_y) on the support classes x, y of a unit u whose values
+    on `rows` are `traces`.  Augmentation one and the first row chi with
+    chi(x) != chi(y) give eps_x = (chi(u) - chi(y)) / (chi(x) - chi(y));
+    every row must then hold exactly.  `UnitGroup` checks that some row
+    separates x and y."""
+    x, y = support
+    sep = next(ch for ch in rows if ch.values[x] != ch.values[y])
+    ex = ((Fraction(traces[sep.name]) - sep.values[y])
+          / (sep.values[x] - sep.values[y]))
+    ey = 1 - ex
+    for ch in rows:
+        if ex * ch.values[x] + ey * ch.values[y] != traces[ch.name]:
+            raise Inconsistent(f"row {ch.name} contradicts eps = ({ex}, {ey})")
+    return ex, ey
 
 
 MAX_PRIME = 13
@@ -75,7 +97,7 @@ class UnitGroup:
     generator_exponents: list[dict[str, tuple[int, ...]]]
     pattern: frozenset[int] | None = None
     powers: dict[QMatrix, list[QMatrix]] = field(init=False)
-    solve_table: TableSlice = field(init=False)
+    solve_rows: list[CharSlice] = field(init=False)
 
     def __post_init__(self) -> None:
         shape = {c: len(blocks) for c, blocks in self.bases.items()}
@@ -99,10 +121,13 @@ class UnitGroup:
                         for c, blocks in self.bases.items()}
         # the support hypothesis forces every other row, so only these
         # carry information about an element's partial augmentations
-        rows = set(self.distinguished.values())
-        self.solve_table = replace(
-            self.table, chars=[ch for ch in self.table.chars if ch.name in rows]
-        )
+        self.solve_rows = [self.table.char_by_name(name)
+                           for name in self.distinguished.values()]
+        x, y = self.support
+        if all(ch.values[x] == ch.values[y] for ch in self.solve_rows):
+            names = ", ".join(self.distinguished.values())
+            raise ValidationError(f"{self.table.group}: rows {names} do not "
+                                  f"separate classes {x} and {y}")
 
     @property
     def rank(self) -> int:
@@ -152,10 +177,10 @@ def build_psl2_units(p: int, pattern) -> UnitGroup:
     A the order-p companion matrix appearing (p+1)/2 times; u*v^j then has
     trace (p+1)/2 exactly when j lies in the pattern.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     if p > MAX_PRIME:
         raise ValueError(f"p capped at {MAX_PRIME}")
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
     members = frozenset(int(i) for i in pattern)
     if not members <= set(range(1, p)) or len(members) != (p - 1) // 2:
         raise BadPattern(
@@ -193,7 +218,8 @@ def build_psl33_units() -> UnitGroup:
     )
 
 
-def solve_element(ug: UnitGroup, exps: tuple[int, ...]) -> AugVector:
+def solve_element(ug: UnitGroup,
+                  exps: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """Partial augmentations on the support, solved exactly from
     augmentation one and the element's distinguished traces.
 
@@ -202,20 +228,21 @@ def solve_element(ug: UnitGroup, exps: tuple[int, ...]) -> AugVector:
     pair of unknowns).
     """
     traces = {ug.distinguished[c]: t for c, t in ug.traces(exps).items()}
-    return invert_profile(CharProfile(ug.solve_table, traces), list(ug.support))
+    return invert_profile(ug.solve_rows, traces, ug.support)
 
 
-def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> CharProfile:
-    """Character profile on every row, forced by the support hypothesis
+def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> dict[str, Fraction]:
+    """Character value on every row, forced by the support hypothesis
     from the element's partial augmentations."""
     if not any(exps):
-        return CharProfile(
-            ug.table, {ch.name: Fraction(ch.degree) for ch in ug.table.chars}
-        )
-    return synthesize_profile(ug.table, solve_element(ug, exps))
+        return {ch.name: Fraction(ch.degree) for ch in ug.table.chars}
+    ex, ey = solve_element(ug, exps)
+    x, y = ug.support
+    return {ch.name: ex * ch.values[x] + ey * ch.values[y]
+            for ch in ug.table.chars}
 
 
-def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], CharProfile]:
+def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], dict[str, Fraction]]:
     """Every element's profile.  Nothing in the package calls it; the
     benchmark's tracer (perfbench/spans.py) still wraps it by name."""
     return {exps: element_profile(ug, exps) for exps in ug.exponent_vectors()}
@@ -276,18 +303,17 @@ def verify_unit_group(ug: UnitGroup) -> dict:
         if not any(exps):
             continue
         try:
-            aug = solve_element(ug, exps)
+            ea, eb = solve_element(ug, exps)
         except Inconsistent as exc:
             problems.append(f"element {exps}: {exc}")
             continue
-        integral = aug.is_integral()
-        mrsw = mrsw_conjugate_to_group_element(aug)
+        integral = ea.denominator == 1  # and so is eb = 1 - ea
+        mrsw = ea >= 0 and eb >= 0
         all_integral &= integral
         all_mrsw &= mrsw
-        pair = (aug.values[xa], aug.values[xb])
-        if pair == (1, 0):
+        if (ea, eb) == (1, 0):
             counts[xa] += 1
-        elif pair == (0, 1):
+        elif (ea, eb) == (0, 1):
             counts[xb] += 1
         else:
             counts["other"] += 1
@@ -298,7 +324,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
                     name: format_rational(t)
                     for name, t in ug.traces(exps).items()
                 },
-                "aug": aug.to_json(),
+                "aug": {xa: format_rational(ea), xb: format_rational(eb)},
                 "integral": integral,
                 "mrsw": mrsw,
             }

@@ -170,6 +170,8 @@ class PSL2(GroupOracle):
         self.expected_order = q * (q * q - 1) // 2
         if self.expected_order > ORDER_CAP:
             raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
+        if not is_prime(p):
+            raise ValueError(f"q = {q} is not the square of an odd prime")
         self.t = fq_make(p).t
 
     def mul(self, x, y):
@@ -250,9 +252,9 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
     """Enumerate PSL(2,q) (q = p^2) or PSL(3,3), using the text cache."""
     if kind == "psl2":
         p = isqrt(q) if q >= 1 else 0
-        if p * p != q or p == 2 or not is_prime(p):
+        if p * p != q or p == 2:
             raise ValueError(f"q = {q} is not the square of an odd prime")
-        group = PSL2(p)
+        group = PSL2(p)  # tests the order cap before primality
     elif kind == "psl3":
         if q != 3:
             raise ValueError("only PSL(3,3) is supported")

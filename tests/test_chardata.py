@@ -84,6 +84,19 @@ def test_psl33_mixed_rows_and_decomposition():
     assert dec["ok"]
 
 
+def test_decomposition_fails_when_base_rows_do_not_separate(renamed_psl33):
+    # chi12 and chi16a name rows equal on a and b: no multiple of them
+    # accounts for another row's imbalance, whatever n1 and n2 are
+    t = load_table(renamed_psl33("swapped-names") / "psl33.tbl")
+    assert validate_orthogonality(t)["ok"]
+    assert not mixed_value_decomposition(t, "a", "b", "chi12", "chi16a")["ok"]
+
+
+def test_missing_row_is_a_validation_error():
+    with pytest.raises(ValidationError, match="PSL\\(3,3\\) table has no row chi99"):
+        psl33_slice().char_by_name("chi99")
+
+
 def test_load_table_rejects_bad_orthogonality(tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text(

@@ -131,6 +131,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "psl2", "--p", "7", "--pattern", "1,2"])
     assert exc.value.code == 2
+    for pattern, repeated in (("1,2,4,4", 4), ("1,1,2", 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "psl2", "--p", "7", "--pattern", pattern])
+        assert exc.value.code == 2
+        assert (f"bad --pattern '{pattern}': repeated entry {repeated}"
+                in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
@@ -154,11 +160,17 @@ def test_usage_errors(capsys):
     ["patterns", "--p", "29"],
     ["chartab", "--group", "psl2", "--p", "103"],
     ["help-scan", "--group", "psl2", "--p", "103"],
+    # a prime far above every cap: the caps are tested before primality,
+    # which trial division would not settle in reasonable time
+    ["help-scan", "--group", "psl2", "--p", str(2 ** 61 - 1)],
+    ["chartab", "--group", "psl2", "--p", str(2 ** 61 - 1)],
+    ["construct", "psl2", "--p", str(2 ** 61 - 1), "--pattern", "1"],
+    ["oracle", "--group", "psl2", "--q", str((2 ** 61 - 1) ** 2)],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "grunits.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
         env={**os.environ, "HOME": str(tmp_path)},
     )
     assert proc.returncode == 2
@@ -176,6 +188,24 @@ def test_validation_failure_exit_code(tmp_path, monkeypatch):
     bad.write_text(text.replace("chi12 12 12 3 0", "chi12 12 12 0 3"))
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     assert main(["chartab", "--group", "psl33"]) == 1
+
+
+@pytest.mark.parametrize("edit", ["renamed-row", "swapped-names"])
+@pytest.mark.parametrize("argv", [["construct", "psl33", "--verify"],
+                                  ["invariants"]])
+def test_table_without_separating_rows_is_a_validation_failure(
+        argv, edit, renamed_psl33, tmp_path):
+    # orthogonality still holds, so only the rows' lookup and the check
+    # that they separate a and b can reject the table
+    proc = subprocess.run(
+        [sys.executable, "-m", "grunits.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "HOME": str(tmp_path),
+             "GRS_DATA_DIR": str(renamed_psl33(edit))},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation failure: ")
 
 
 def test_missing_table_is_an_error_not_a_traceback(tmp_path):

@@ -8,13 +8,13 @@ from grunits.constructions import (
     build_psl2_units,
     build_psl33_units,
     element_profile,
+    invert_profile,
     solve_element,
     valenti_search,
     verify_unit_group,
 )
 from grunits.finitefield import fq_make
 from grunits.matrices import BlockDiag, QMatrix, companion_cyclotomic
-from grunits.partialaug import CharProfile, invert_profile
 from grunits.patterns import balanced_patterns, group_patterns
 
 
@@ -255,11 +255,11 @@ def _forced_profile(ug, exps):
     ((a, b), s), ((c, d), t) = eqs
     det = a * d - b * c
     ea, eb = (s * d - b * t) / det, (a * t - s * c) / det
-    return CharProfile(ug.table, {
+    return {
         ch.name: traces[ch.name] if ch.name in traces
         else ea * ch.values[xa] + eb * ch.values[xb]
         for ch in ug.table.chars
-    })
+    }
 
 
 @pytest.mark.parametrize("p,members", [
@@ -275,7 +275,8 @@ def test_solve_element_matches_full_table_solve(p, members):
         if not any(exps):
             continue
         forced = _forced_profile(ug, exps)
-        assert solve_element(ug, exps) == invert_profile(forced, list(ug.support))
+        assert solve_element(ug, exps) == invert_profile(
+            ug.table.chars, forced, ug.support)
         assert element_profile(ug, exps) == forced
 
 
