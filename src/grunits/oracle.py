@@ -1,16 +1,17 @@
 """Brute-force ground truth for the groups in scope.
 
-PSL(2,9), PSL(2,25), PSL(2,49) and PSL(3,3) are enumerated as canonical
-projective matrices over their finite fields, by closure from transvection
-generators.  Orders, exponents and conjugacy classes computed here are the
-oracle against which character slices and the square-class model of the
-Sylow subgroup are validated.
+PSL(2,9), PSL(2,25), PSL(2,49) and PSL(3,3) are listed by determinant, not
+by closure under generators: every canonical projective matrix of
+determinant 1 over the finite field, in increasing order.  (The tests keep
+the closure as the reference for that list.)  Orders, exponents and
+conjugacy classes computed here are the oracle against which character
+slices and the square-class model of the Sylow subgroup are validated.
 
 Each group is one class, `PSL2` or `PSL3`, holding its canonical product,
-identity, generators, closed-form order and cache key.  An element is the
-flat tuple of its matrix entries, exactly as a cache line stores it:
-(a0, a1, b0, b1, c0, c1, d0, d1) for [[a, b], [c, d]] over F_(p^2), and
-the row-major 9-tuple over F_3.
+identity, generators, closed-form order, cache key and the listing
+`generate`.  An element is the flat tuple of its matrix entries, exactly
+as a cache line stores it: (a0, a1, b0, b1, c0, c1, d0, d1) for
+[[a, b], [c, d]] over F_(p^2), and the row-major 9-tuple over F_3.
 
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
@@ -19,9 +20,10 @@ classes read that list.
 
 Enumerations are cached as text, one element per line.  A cache is
 trusted only when every line is a matrix with entries in range(p), in its
-canonical form, of determinant 1 and distinct from the other lines, and
+canonical form, of determinant 1 and in strictly increasing order, and
 there are exactly as many lines as the group's closed-form order; those
-lines are then exactly the group.  Any other cache is rebuilt.
+lines are then exactly the group, in the order `generate` lists it.  Any
+other cache is rebuilt.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .finitefield import fq_make, is_prime
@@ -45,9 +48,10 @@ class GroupOracle:
     """An enumerated finite matrix group with canonical representatives.
 
     A subclass describes one group: `name`, cache `key`, modulus `p`,
-    closed-form `expected_order`, `identity`, `generators`, the canonical
-    product `mul`, `det_is_one` and, where the group has a centre to
-    quotient by, `canon`.
+    closed-form `expected_order`, `identity`, `generators` (which the
+    conjugacy orbits walk), the canonical product `mul`, `det_is_one`,
+    `generate`, which lists the group in increasing order, and, where the
+    group has a centre to quotient by, `canon`.
     """
 
     def __init__(self) -> None:
@@ -59,23 +63,13 @@ class GroupOracle:
         return x
 
     def enumerate(self) -> "GroupOracle":
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        self._set_elements(seen)
+        self._set_elements(self.generate())
         return self
 
-    def _set_elements(self, seen):
-        self.elements = sorted(seen)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+    def _set_elements(self, elements: list[tuple]) -> None:
+        """Take `elements`, the whole group in increasing order."""
+        self.elements = elements
+        self._index = {e: i for i, e in enumerate(elements)}
         self._orders = None
 
     @property
@@ -205,6 +199,34 @@ class PSL2(GroupOracle):
         return ((a0 * d0 - b0 * c0 + t * (a1 * d1 - b1 * c1)) % p == 1
                 and (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p == 0)
 
+    def generate(self) -> list[tuple]:
+        # A first row (a, b) is nonzero, so it holds the first nonzero entry
+        # v, and the matrix is canonical when 2v < p.  Each such row has q
+        # second rows (c, d) with ad - bc = 1: d = (1 + bc)/a for each c
+        # when a != 0, and c = -1/b with d free when a = 0.  Listing c, or
+        # d, in field order keeps the whole list increasing.
+        p, t = self.p, self.t
+        field = list(product(range(p), repeat=2))
+        out = []
+        for a0, a1, b0, b1 in product(range(p), repeat=4):
+            v = a0 or a1 or b0 or b1
+            if not v or 2 * v >= p:
+                continue
+            if a0 or a1:
+                n = pow(a0 * a0 - t * a1 * a1, -1, p)  # 1 / norm(a)
+                i0, i1 = a0 * n % p, -a1 * n % p  # 1/a
+                for c0, c1 in field:
+                    s0 = 1 + b0 * c0 + t * b1 * c1
+                    s1 = b0 * c1 + b1 * c0
+                    out.append((a0, a1, b0, b1, c0, c1,
+                                (s0 * i0 + t * s1 * i1) % p,
+                                (s0 * i1 + s1 * i0) % p))
+            else:
+                n = pow(b0 * b0 - t * b1 * b1, -1, p)
+                c0, c1 = -b0 * n % p, b1 * n % p  # -1/b
+                out.extend((0, 0, b0, b1, c0, c1, d0, d1) for d0, d1 in field)
+        return out
+
     def unipotent(self, lam) -> tuple:
         """Canonical representative of the upper unipotent with parameter
         lam, an element of F_(p^2)."""
@@ -237,6 +259,9 @@ class PSL3(GroupOracle):
         return (a * (e * i - f_ * h) - b * (d * i - f_ * g)
                 + c * (d * h - e * g)) % 3 == 1
 
+    def generate(self) -> list[tuple]:
+        return [x for x in product(range(3), repeat=9) if self.det_is_one(x)]
+
 
 # -- construction, caching ----------------------------------------------------
 
@@ -265,11 +290,12 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
     p, width = group.p, len(group.identity)
     path = os.path.join(cache_dir(), group.key + ".txt")
     if not refresh and os.path.exists(path):
-        elements = set()
+        elements: list[tuple] = []
+        prev: tuple = ()
         try:
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
-                    x = tuple(int(v) for v in line.split())
+                    x = tuple(map(int, line.split()))
                     if len(x) != width:
                         raise ValueError(f"corrupt line {line.strip()!r}")
                     if min(x) < 0 or max(x) >= p:
@@ -280,9 +306,11 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
                     if not group.det_is_one(x):
                         raise ValueError(f"determinant not 1 in line "
                                          f"{line.strip()!r}")
-                    if x in elements:
-                        raise ValueError(f"repeated line {line.strip()!r}")
-                    elements.add(x)
+                    if x <= prev:
+                        raise ValueError(f"line {line.strip()!r} breaks the "
+                                         "strictly increasing order")
+                    elements.append(x)
+                    prev = x
             if len(elements) != group.expected_order:
                 raise ValueError(f"{len(elements)} elements, expected "
                                  f"{group.expected_order}")
@@ -294,9 +322,9 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
 
     group.enumerate()
     tmp = path + ".tmp"
+    fmt = " ".join(["%d"] * width) + "\n"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for e in group.elements:
-            fh.write(" ".join(map(str, e)) + "\n")
+        fh.write("".join([fmt % e for e in group.elements]))
     os.replace(tmp, path)
     return group
 
@@ -309,8 +337,9 @@ def cached_group(kind: str, q: int = 3) -> GroupOracle:
 def check_square_criterion(p: int) -> bool:
     """Unipotents with parameters lam, mu are conjugate in PSL(2,p^2)
     exactly when mu/lam is a square of F_(p^2)."""
-    if p not in (3, 5):
-        raise ValueError("exhaustive conjugacy check is limited to p in {3, 5}")
+    if p not in (3, 5, 7):
+        raise ValueError("exhaustive conjugacy check is limited to p in "
+                         "{3, 5, 7}")
     f = fq_make(p)
     group = cached_group("psl2", p * p)
     nonzero = [e for e in f.elements() if e != f.zero]

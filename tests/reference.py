@@ -1,4 +1,4 @@
-"""Direct references the HeLP scan is tested against.
+"""Direct references the HeLP scan and the group oracle are tested against.
 
 :func:`multiplicity` is the definition
 
@@ -7,7 +7,9 @@
 computed verbatim over Q(zeta_p), and :func:`_check_flags` is the
 row-by-row kernel test on a 0/1 flag list.  The scan in
 `grunits.helpengine` uses neither: it works from the closed form on bit
-masks, and the tests pin it against these.
+masks, and the tests pin it against these.  :func:`closure` finds a
+group by breadth-first closure under its transvection generators; the
+oracle lists it from its definition instead, and is pinned against this.
 """
 
 from __future__ import annotations
@@ -80,3 +82,20 @@ def _check_flags(rows, flags, p: int, size: int, hyperplanes):
             if num % size or num < 0:
                 return name, "ker=" + ",".join(map(str, e)), Fraction(num, size)
     return None
+
+
+def closure(group) -> list[tuple]:
+    """The elements reached from `group.identity` by right multiplication
+    with `group.generators`, in increasing order."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in group.generators:
+                y = group.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)

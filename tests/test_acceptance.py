@@ -18,10 +18,10 @@ from grunits.constructions import (
     verify_unit_group,
 )
 from grunits.cyclotomic import Cyclotomic, cyclo
-from grunits.finitefield import square_lines
+from grunits.finitefield import fq_make, square_lines
 from grunits.helpengine import feasible_distributions, subgroup_points
 from grunits.oracle import cached_group, check_square_criterion
-from grunits.patterns import gap_report
+from grunits.patterns import gap_report, group_patterns
 from reference import Assignment, linear_characters, multiplicity
 
 
@@ -96,6 +96,23 @@ def test_criterion_4_counterexample_certification(capsys):
             ok &= report2["ok"]
             ok &= valenti_search(frozenset(report2["trace_pattern"]),
                                  p) is not None
+    # the p = 7 patterns by brute force, with group products only: for g
+    # in the class c of unipotent(1) and h outside it, both upper
+    # unipotents, the pattern of (g, h) is {i : g h^i in c}
+    g49 = cached_group("psl2", 49)
+    f = fq_make(7)
+    c = g49.conjugacy_class(g49.unipotent(f.one))
+    unipotents = [g49.unipotent(lam) for lam in f.elements() if lam != f.zero]
+    brute = set()
+    for h in (u for u in unipotents if u not in c):
+        powers = [h]
+        for _ in range(5):
+            powers.append(g49.mul(powers[-1], h))
+        brute |= {frozenset(i for i, hi in enumerate(powers, 1)
+                            if g49.mul(g, hi) in c)
+                  for g in unipotents if g in c}
+    ok &= brute == group_patterns(7) and len(brute) == 12
+    ok &= frozenset({1, 2, 4}) not in brute
     _verdict(capsys, "4 (counterexample certification)", ok)
 
 
@@ -131,10 +148,11 @@ def test_criterion_7_character_data_integrity(capsys):
     )
     t33 = psl33_slice()
     ok &= validate_orthogonality(t33)["ok"]
-    g9 = cached_group("psl2", 9)
-    sizes9 = sorted(s for _r, s in g9.order_p_classes(3))
-    t9 = psl2_slice(3)
-    ok &= sizes9 == sorted(c.class_size for c in t9.classes if c.id != "1")
+    for p in (3, 5, 7):
+        sizes = sorted(s for _r, s in cached_group("psl2", p * p)
+                       .order_p_classes(p))
+        ok &= sizes == sorted(c.class_size for c in psl2_slice(p).classes
+                              if c.id != "1")
     g33 = cached_group("psl3", 3)
     sizes33 = sorted(s for _r, s in g33.order_p_classes(3))
     ok &= sizes33 == sorted(c.class_size for c in t33.classes if c.id != "1")
@@ -145,7 +163,7 @@ def test_criterion_8_oracle_coherence(capsys):
     g9 = cached_group("psl2", 9)
     classes = g9.order_p_classes(3)
     ok = g9.order == 360 and sorted(s for _r, s in classes) == [40, 40]
-    ok &= check_square_criterion(3) and check_square_criterion(5)
+    ok &= all(check_square_criterion(p) for p in (3, 5, 7))
     ok &= all(
         square_lines(p) == ((p + 1) // 2, (p + 1) // 2)
         for p in (3, 5, 7, 11, 13)

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -14,6 +14,7 @@ from grunits.oracle import (
     check_square_criterion,
     enumerate_group,
 )
+from reference import closure
 
 
 def test_psl2_9_order_and_classes():
@@ -49,6 +50,16 @@ def test_exponent_psl2_9():
 
 
 GROUPS = [("psl2", 9), ("psl3", 3), ("psl2", 25)]
+
+
+@pytest.mark.parametrize("kind,q", [("psl2", 9), ("psl2", 25), ("psl2", 49),
+                                    ("psl3", 3)])
+def test_listing_by_determinant_equals_closure(kind, q):
+    group = PSL2(isqrt(q)) if kind == "psl2" else PSL3()
+    listed = group.generate()
+    assert len(listed) == group.expected_order
+    assert all(x < y for x, y in zip(listed, listed[1:]))
+    assert listed == closure(group)
 
 
 @pytest.mark.parametrize("kind,q", GROUPS)
@@ -181,7 +192,7 @@ def test_psl2_49_ground_truth(tmp_path, monkeypatch):
     assert sorted(size for _rep, size in g.order_p_classes(7)) == [1200, 1200]
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_square_criterion(p):
     assert check_square_criterion(p)
 
@@ -205,6 +216,8 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
 # loading without a rebuild
 CACHE_SHA256 = {
     ("psl2", 9): "3cb13042e844e412cce5ab7f100a4d90ed01c2a43fd1e7784ee2da8ae7b83199",
+    ("psl2", 25): "6649ab2989d423c99b6749cc9982dce7f7ae5eab5ceaebdaf2843f330163f051",
+    ("psl2", 49): "0df8cc6ac0839c874956a3758af299d8a031085677cbf187c408adf474ae3628",
     ("psl3", 3): "6bc35656aa299a72cb8c5c85b359f4d2059eafa2bb231afa80d5b986ab9a20ea",
 }
 
@@ -221,12 +234,24 @@ def _negated(line: str) -> str:
     return " ".join(str(-int(v) % 3) for v in line.split()) + "\n"
 
 
-@pytest.mark.parametrize("damage", ["truncate", "corrupt", "not-in-group",
-                                    "non-canonical"])
+# each damage and the reason the rebuild message gives for it
+DAMAGES = {
+    "truncate": "elements, expected 360",
+    "corrupt": "invalid literal",
+    "not-in-group": "determinant not 1",
+    "non-canonical": "non-canonical line",
+    "repeated": "breaks the strictly increasing order",
+    "out-of-range": "outside range(3)",
+    "out-of-order": "breaks the strictly increasing order",
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGES))
 def test_damaged_cache_is_rebuilt(damage, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     cache = tmp_path / "psl2_9.txt"
     enumerate_group("psl2", 9)
+    original = cache.read_bytes()
     lines = cache.read_text().splitlines(keepends=True)
     damaged = list(lines)
     if damage == "truncate":
@@ -236,11 +261,19 @@ def test_damaged_cache_is_rebuilt(damage, tmp_path, monkeypatch, capsys):
     elif damage == "not-in-group":
         # the identity replaced by diag(1, 2), canonical but of determinant 2
         damaged[lines.index("1 0 0 0 0 0 1 0\n")] = "1 0 0 0 0 0 2 0\n"
-    else:
+    elif damage == "non-canonical":
         damaged[7] = _negated(lines[7])
+    elif damage == "repeated":
+        damaged[8] = lines[7]
+    elif damage == "out-of-range":
+        # the entry 3 = p in place of a 0
+        damaged[7] = lines[7].replace("0", "3", 1)
+    else:
+        damaged[7], damaged[8] = lines[8], lines[7]
     cache.write_text("".join(damaged))
     g = enumerate_group("psl2", 9)
-    assert "rebuilding" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"rebuilding {cache}: " in err and DAMAGES[damage] in err
     assert g.order == 360
     assert g.exponent() == 60
-    assert cache.read_text().splitlines(keepends=True) == lines
+    assert cache.read_bytes() == original
