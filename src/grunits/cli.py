@@ -5,8 +5,7 @@ non-deterministic field is wall_clock_s, which callers comparing reports
 should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
 1 a validation failed (the witness is printed), or the reader closed
 stdout before the report was written (`| head`; nothing is printed),
-2 usage error, missing data file or a path that cannot be used (the cache
-location, --json PATH).
+2 usage error, missing data file or a --json PATH that cannot be written.
 """
 
 from __future__ import annotations
@@ -185,28 +184,30 @@ def cmd_oracle(args, parser) -> int:
     t0 = time.monotonic()
     if args.group == "psl3":
         _reject_unused("--q", args.q, parser)
-        group = enumerate_group("psl3", 3, refresh=args.refresh)
+        group = enumerate_group("psl3", 3)
         p = 3
     else:
         if args.q is None:
             parser.error("--q is required with --group psl2")
         try:
-            group = enumerate_group("psl2", args.q, refresh=args.refresh)
+            group = enumerate_group("psl2", args.q)
         except (ValueError, TooLarge) as exc:
             parser.error(f"--q {args.q}: {exc}")
         p = isqrt(args.q)
-    classes = group.order_p_classes(p)
-    result = {
-        "group": group.name,
-        "order": group.order,
-        "exponent": group.exponent(),
-        "order_p_classes": [
+    result = {"group": group.name, "order": group.order}
+    # the closed form q(q^2-1)/2 or 5616; the power walks below look every
+    # power up in the list, so they run only on a whole group
+    ok = group.order == group.expected_order
+    if ok:
+        classes = group.order_p_classes(p)
+        result["exponent"] = group.exponent()
+        result["order_p_classes"] = [
             {"size": size} for _rep, size in sorted(classes, key=lambda c: c[1])
-        ],
-    }
+        ]
+    # --refresh has no effect, but stays in params so reports keep their keys
     report = _run_report(
         "oracle", {"group": args.group, "q": args.q, "refresh": args.refresh},
-        result, True, t0,
+        result, ok, t0,
     )
     return _emit(report, args.json)
 
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--group", choices=["psl2", "psl3"], required=True)
     p_or.add_argument("--q", type=int, default=None)
     p_or.add_argument("--refresh", action="store_true",
-                      help="rebuild the enumeration cache")
+                      help="no effect; there is no cache")
     p_or.set_defaults(func=cmd_oracle)
 
     p_inv = add("invariants", help="cross-module coherence gate")
@@ -312,12 +313,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ParseError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"grunits: error: missing file {exc.filename}", file=sys.stderr)
-        return 2
     except OSError as exc:
-        print(f"grunits: error: {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
+        # a missing input is named as such; --json PATH gets the OS reason
+        if isinstance(exc, FileNotFoundError) and exc.filename != args.json:
+            print(f"grunits: error: missing file {exc.filename}",
+                  file=sys.stderr)
+        else:
+            print(f"grunits: error: {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
         return 2
 
 

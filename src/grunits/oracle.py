@@ -8,28 +8,20 @@ conjugacy classes computed here are the oracle against which character
 slices and the square-class model of the Sylow subgroup are validated.
 
 Each group is one class, `PSL2` or `PSL3`, holding its canonical product,
-identity, generators, closed-form order, cache key and the listing
-`generate`.  An element is the flat tuple of its matrix entries, exactly
-as a cache line stores it: (a0, a1, b0, b1, c0, c1, d0, d1) for
-[[a, b], [c, d]] over F_(p^2), and the row-major 9-tuple over F_3.
+identity, generators, closed-form order and the listing `generate`.  An
+element is the flat tuple of its matrix entries: (a0, a1, b0, b1, c0, c1,
+d0, d1) for [[a, b], [c, d]] over F_(p^2), and the row-major 9-tuple over
+F_3.
 
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
 classes read that list.
-
-Enumerations are cached as text, one element per line.  A cache is
-trusted only when every line is a matrix with entries in range(p), in its
-canonical form, of determinant 1 and in strictly increasing order, and
-there are exactly as many lines as the group's closed-form order; those
-lines are then exactly the group, in the order `generate` lists it.  Any
-other cache is rebuilt.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -47,11 +39,11 @@ ORDER_CAP = 100_000
 class GroupOracle:
     """An enumerated finite matrix group with canonical representatives.
 
-    A subclass describes one group: `name`, cache `key`, modulus `p`,
-    closed-form `expected_order`, `identity`, `generators` (which the
-    conjugacy orbits walk), the canonical product `mul`, `det_is_one`,
-    `generate`, which lists the group in increasing order, and, where the
-    group has a centre to quotient by, `canon`.
+    A subclass describes one group: `name`, modulus `p`, closed-form
+    `expected_order`, `identity`, `generators` (which the conjugacy orbits
+    walk), the canonical product `mul`, `generate`, which lists the group
+    in increasing order, and, where the group has a centre to quotient by,
+    `canon`.
     """
 
     def __init__(self) -> None:
@@ -63,14 +55,10 @@ class GroupOracle:
         return x
 
     def enumerate(self) -> "GroupOracle":
-        self._set_elements(self.generate())
-        return self
-
-    def _set_elements(self, elements: list[tuple]) -> None:
-        """Take `elements`, the whole group in increasing order."""
-        self.elements = elements
-        self._index = {e: i for i, e in enumerate(elements)}
+        self.elements = self.generate()
+        self._index = {e: i for i, e in enumerate(self.elements)}
         self._orders = None
+        return self
 
     @property
     def order(self) -> int:
@@ -160,7 +148,7 @@ class PSL2(GroupOracle):
     def __init__(self, p: int) -> None:
         super().__init__()
         q = p * p
-        self.name, self.key, self.p = f"PSL(2,{q})", f"psl2_{q}", p
+        self.name, self.p = f"PSL(2,{q})", p
         self.expected_order = q * (q * q - 1) // 2
         if self.expected_order > ORDER_CAP:
             raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
@@ -192,12 +180,6 @@ class PSL2(GroupOracle):
             return x
         return (-a0 % p, -a1 % p, -b0 % p, -b1 % p,
                 -c0 % p, -c1 % p, -d0 % p, -d1 % p)
-
-    def det_is_one(self, x) -> bool:
-        p, t = self.p, self.t
-        a0, a1, b0, b1, c0, c1, d0, d1 = x
-        return ((a0 * d0 - b0 * c0 + t * (a1 * d1 - b1 * c1)) % p == 1
-                and (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p == 0)
 
     def generate(self) -> list[tuple]:
         # A first row (a, b) is nonzero, so it holds the first nonzero entry
@@ -236,7 +218,7 @@ class PSL2(GroupOracle):
 class PSL3(GroupOracle):
     """PSL(3,3) = SL(3,3), whose centre is trivial."""
 
-    name, key, p, expected_order = "PSL(3,3)", "psl3_3", 3, 5616
+    name, p, expected_order = "PSL(3,3)", 3, 5616
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     # the elementary transvections I + E_ij, i != j
     generators = [tuple(int(k in (0, 4, 8, 3 * i + j)) for k in range(9))
@@ -263,18 +245,16 @@ class PSL3(GroupOracle):
         return [x for x in product(range(3), repeat=9) if self.det_is_one(x)]
 
 
-# -- construction, caching ----------------------------------------------------
+# -- construction -------------------------------------------------------------
 
 
 def cache_dir() -> str:
-    env = os.environ.get("GRS_DATA_DIR")
-    base = env if env else os.path.join(os.path.expanduser("~"), ".cache", "grunits")
-    os.makedirs(base, exist_ok=True)
-    return base
+    # The oracle caches nothing; only perfbench/child.py still calls this.
+    return os.path.join(os.path.expanduser("~"), ".cache", "grunits")
 
 
-def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle:
-    """Enumerate PSL(2,q) (q = p^2) or PSL(3,3), using the text cache."""
+def enumerate_group(kind: str, q: int = 3) -> GroupOracle:
+    """Enumerate PSL(2,q) (q = p^2) or PSL(3,3) from its definition."""
     if kind == "psl2":
         p = isqrt(q) if q >= 1 else 0
         if p * p != q or p == 2:
@@ -286,47 +266,7 @@ def enumerate_group(kind: str, q: int = 3, refresh: bool = False) -> GroupOracle
         group = PSL3()
     else:
         raise ValueError(f"unknown group kind {kind!r}")
-
-    p, width = group.p, len(group.identity)
-    path = os.path.join(cache_dir(), group.key + ".txt")
-    if not refresh and os.path.exists(path):
-        elements: list[tuple] = []
-        prev: tuple = ()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    x = tuple(map(int, line.split()))
-                    if len(x) != width:
-                        raise ValueError(f"corrupt line {line.strip()!r}")
-                    if min(x) < 0 or max(x) >= p:
-                        raise ValueError(f"entry outside range({p}) in line "
-                                         f"{line.strip()!r}")
-                    if group.canon(x) != x:
-                        raise ValueError(f"non-canonical line {line.strip()!r}")
-                    if not group.det_is_one(x):
-                        raise ValueError(f"determinant not 1 in line "
-                                         f"{line.strip()!r}")
-                    if x <= prev:
-                        raise ValueError(f"line {line.strip()!r} breaks the "
-                                         "strictly increasing order")
-                    elements.append(x)
-                    prev = x
-            if len(elements) != group.expected_order:
-                raise ValueError(f"{len(elements)} elements, expected "
-                                 f"{group.expected_order}")
-        except ValueError as exc:
-            print(f"grunits: rebuilding {path}: {exc}", file=sys.stderr)
-        else:
-            group._set_elements(elements)
-            return group
-
-    group.enumerate()
-    tmp = path + ".tmp"
-    fmt = " ".join(["%d"] * width) + "\n"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("".join([fmt % e for e in group.elements]))
-    os.replace(tmp, path)
-    return group
+    return group.enumerate()
 
 
 @lru_cache(maxsize=None)

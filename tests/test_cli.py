@@ -7,6 +7,7 @@ import pytest
 
 from grunits import constructions
 from grunits.cli import main
+from grunits.oracle import PSL2
 
 
 def _load(path):
@@ -87,6 +88,32 @@ def test_oracle(tmp_path):
     report = _load(out)
     assert report["result"]["order"] == 360
     assert report["result"]["order_p_classes"] == [{"size": 40}, {"size": 40}]
+
+
+def test_oracle_refresh_changes_only_its_param(tmp_path):
+    plain, refreshed = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["oracle", "--group", "psl2", "--q", "9"]
+    assert main(argv + ["--json", str(plain)]) == 0
+    assert main(argv + ["--refresh", "--json", str(refreshed)]) == 0
+    ra, rb = _load(plain), _load(refreshed)
+    ra.pop("wall_clock_s"), rb.pop("wall_clock_s")
+    assert (ra["params"]["refresh"], rb["params"]["refresh"]) == (False, True)
+    rb["params"]["refresh"] = False
+    assert ra == rb
+
+
+def test_oracle_verdict_is_the_closed_form_order(tmp_path, monkeypatch,
+                                                 capsys):
+    # one element short of q(q^2-1)/2: the count identity must fail
+    generate = PSL2.generate
+    monkeypatch.setattr(PSL2, "generate", lambda self: generate(self)[1:])
+    out = tmp_path / "r.json"
+    assert main(["oracle", "--group", "psl2", "--q", "9",
+                 "--json", str(out)]) == 1
+    report = _load(out)
+    assert report["ok"] is False
+    assert report["result"] == {"group": "PSL(2,9)", "order": 359}
+    assert "[oracle] ok=False" in capsys.readouterr().out
 
 
 def test_invariants_gate(tmp_path):
@@ -221,33 +248,47 @@ def test_missing_table_is_an_error_not_a_traceback(tmp_path):
     assert proc.stderr.strip() == f"grunits: error: missing file {missing}"
 
 
-@pytest.mark.parametrize("unusable", ["data-dir-is-file", "home-is-file",
-                                      "cache-is-dir"])
-def test_unusable_cache_location_is_an_error_not_a_traceback(unusable,
-                                                            tmp_path):
-    env = {**os.environ, "HOME": str(tmp_path)}
-    argv = ["oracle", "--group", "psl2", "--q", "9"]
-    if unusable == "data-dir-is-file":
-        (tmp_path / "file").write_text("")
-        env["GRS_DATA_DIR"] = str(tmp_path / "file")
-    elif unusable == "home-is-file":
-        (tmp_path / "file").write_text("")
-        env["HOME"] = str(tmp_path / "file")
-        argv = ["invariants"]
+# the oracle with and without --refresh, and invariants, which lists two groups
+HOME_ARGVS = [["oracle", "--group", "psl2", "--q", "9"],
+              ["oracle", "--group", "psl2", "--q", "9", "--refresh"],
+              ["oracle", "--group", "psl3"],
+              ["invariants"]]
+
+
+@pytest.mark.parametrize("home", ["empty-dir", "regular-file"])
+@pytest.mark.parametrize("argv", HOME_ARGVS,
+                         ids=["q9", "q9-refresh", "psl3", "invariants"])
+def test_commands_leave_home_alone(argv, home, tmp_path):
+    # no command reads or writes under HOME, so neither an empty HOME nor a
+    # HOME that is a regular file changes anything
+    path = tmp_path / "home"
+    if home == "empty-dir":
+        path.mkdir()
     else:
-        (tmp_path / "psl2_9.txt").mkdir()
-        env["GRS_DATA_DIR"] = str(tmp_path)
+        path.write_text("")
+    env = {k: v for k, v in os.environ.items() if k != "GRS_DATA_DIR"}
+    env["HOME"] = str(path)
     proc = subprocess.run([sys.executable, "-m", "grunits.cli", *argv],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if home == "empty-dir":
+        assert list(path.iterdir()) == []
+    else:
+        assert path.read_text() == ""
 
 
 def test_unusable_json_path_is_an_error(tmp_path, capsys):
     # a directory cannot be opened for writing: exit 2 with the path
     assert main(["patterns", "--p", "7", "--json", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"grunits: error: {tmp_path}: ")
+    # nor can a file in a directory that does not exist; that is not a
+    # missing input, so it gets the OS reason, not "missing file"
+    missing = tmp_path / "no" / "such" / "r.json"
+    assert main(["construct", "psl2", "--p", "5", "--pattern", "1,2",
+                 "--json", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"grunits: error: {missing}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("buffering", [1, -1])
