@@ -89,6 +89,8 @@ class TableSlice:
 
 
 def _mk_class(cid: str, order: int, size: int, group_order: int) -> ClassInfo:
+    if size < 1:
+        raise ValidationError(f"class {cid}: size {size} is not positive")
     if group_order % size != 0:
         raise ValidationError(f"class size {size} does not divide |G| = {group_order}")
     return ClassInfo(cid, order, size, group_order // size)
@@ -165,6 +167,12 @@ def validate_orthogonality(t: TableSlice) -> dict:
 
 
 def _validate(t: TableSlice) -> TableSlice:
+    # orthogonality compares columns by id, so a repeated id would pass it
+    ids = [c.id for c in t.classes]
+    if "1" not in ids:
+        raise ValidationError(f"{t.group} table has no identity class 1")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{t.group} table repeats a class id: {ids}")
     for ch in t.chars:
         if ch.values["1"] != ch.degree:
             raise ValidationError(f"row {ch.name}: value at identity != degree")
@@ -186,13 +194,12 @@ def load_table(path) -> TableSlice:
     order = None
     classes: list[ClassInfo] = []
     chars: list[CharSlice] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
             try:
+                parts = raw.decode("utf-8").split()
+                if not parts or parts[0].startswith("#"):
+                    continue
                 if parts[0] == "group":
                     if parts[2] != "order":
                         raise ParseError(f"line {lineno}: bad group header")
@@ -222,7 +229,7 @@ def load_table(path) -> TableSlice:
                     )
                 else:
                     raise ParseError(f"line {lineno}: unknown directive {parts[0]}")
-            except (IndexError, ValueError) as exc:
+            except (IndexError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
     if group is None or order is None:
         raise ParseError("missing group header")
@@ -238,7 +245,10 @@ def data_dir() -> str:
 
 def psl33_slice() -> TableSlice:
     """The shipped PSL(3,3) slice on classes {1, a, b}."""
-    return load_table(os.path.join(data_dir(), "psl33.tbl"))
+    t = load_table(os.path.join(data_dir(), "psl33.tbl"))
+    if not {"1", "a", "b"} <= {c.id for c in t.classes}:
+        raise ValidationError(f"{t.group} table lacks a class among 1, a, b")
+    return t
 
 
 def mixed_value_decomposition(t: TableSlice, x: str, y: str,

@@ -1,6 +1,10 @@
 """Command-line front end: exact analyses with deterministic JSON reports.
 
-Every report field is exact (integers or "a/b" strings); the only
+Each command returns its (params, result, ok); `main` times it, wraps the
+three in the one report envelope {command, params, result, ok,
+wall_clock_s} and emits it.  A bad argument that only a lower layer can
+judge raises a `ValueError` there, which the command turns into a usage
+error.  Every report field is exact (integers or "a/b" strings); the only
 non-deterministic field is wall_clock_s, which callers comparing reports
 should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
 1 a validation failed (the witness is printed), or the reader closed
@@ -15,7 +19,6 @@ import json
 import os
 import sys
 import time
-from math import isqrt
 
 from .chardata import (
     ParseError,
@@ -27,28 +30,15 @@ from .chardata import (
     validate_orthogonality,
 )
 from .constructions import (
-    BadPattern,
     build_psl2_units,
     build_psl33_units,
     valenti_search,
     verify_unit_group,
 )
-from .finitefield import NotPrime, square_lines
+from .finitefield import square_lines
 from .helpengine import feasible_distributions
-from .oracle import (TooLarge, cached_group, check_square_criterion,
-                     enumerate_group)
+from .oracle import cached_group, check_square_criterion, enumerate_group
 from .patterns import gap_report, group_patterns
-
-
-def _run_report(command: str, params: dict, result: dict, ok: bool,
-                t0: float) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "result": result,
-        "ok": ok,
-        "wall_clock_s": round(time.monotonic() - t0, 3),
-    }
 
 
 def _emit(report: dict, json_path: str | None) -> int:
@@ -81,58 +71,44 @@ def _parse_pattern(text: str, parser) -> set[int]:
     return members
 
 
-def _psl2_table(p: int | None, parser) -> TableSlice:
-    if p is None:
-        parser.error("--p is required with --group psl2")
-    try:
-        return psl2_slice(p)
-    except ValueError as exc:
-        parser.error(f"--p {p}: {exc}")
-
-
 def _reject_unused(flag: str, value, parser, scope="--group psl2") -> None:
     if value is not None:
         parser.error(f"{flag} {value}: {flag} applies only to {scope}")
 
 
-def cmd_chartab(args, parser) -> int:
-    t0 = time.monotonic()
+def _table(args, parser) -> TableSlice:
     if args.group == "psl33":
         _reject_unused("--p", args.p, parser)
-        table = psl33_slice()
-    else:
-        table = _psl2_table(args.p, parser)
+        return psl33_slice()
+    if args.p is None:
+        parser.error("--p is required with --group psl2")
+    try:
+        return psl2_slice(args.p)
+    except ValueError as exc:
+        parser.error(f"--p {args.p}: {exc}")
+
+
+def cmd_chartab(args, parser):
+    table = _table(args, parser)
     ortho = validate_orthogonality(table)
     result = {"table": table.to_json(), "orthogonality": ortho}
-    report = _run_report(
-        "chartab", {"group": args.group, "p": args.p}, result, ortho["ok"], t0
-    )
-    return _emit(report, args.json)
+    return {"group": args.group, "p": args.p}, result, ortho["ok"]
 
 
-def cmd_help_scan(args, parser) -> int:
-    t0 = time.monotonic()
+def cmd_help_scan(args, parser):
+    table = _table(args, parser)
     if args.group == "psl33":
-        _reject_unused("--p", args.p, parser)
-        table = psl33_slice()
-        result = feasible_distributions(list(table.chars), 3, 3, ("a", "b"))
-        expected: list[int] = []
+        p, n, support, expected = 3, 3, ("a", "b"), []
     else:
-        table = _psl2_table(args.p, parser)
-        result = feasible_distributions(list(table.chars), args.p, 2,
-                                        ("c", "d"))
-        expected = [(args.p + 1) // 2]
+        p, n, support, expected = args.p, 2, ("c", "d"), [(args.p + 1) // 2]
+    result = feasible_distributions(list(table.chars), p, n, support)
     result["expected_feasible"] = expected
-    ok = result["feasible"] == expected
     print("feasible x:", result["feasible"])
-    report = _run_report(
-        "help-scan", {"group": args.group, "p": args.p}, result, ok, t0
-    )
-    return _emit(report, args.json)
+    return ({"group": args.group, "p": args.p}, result,
+            result["feasible"] == expected)
 
 
-def cmd_construct(args, parser) -> int:
-    t0 = time.monotonic()
+def cmd_construct(args, parser):
     if args.kind == "psl33":
         _reject_unused("--p", args.p, parser, "construct psl2")
         _reject_unused("--pattern", args.pattern, parser, "construct psl2")
@@ -144,72 +120,54 @@ def cmd_construct(args, parser) -> int:
         members = _parse_pattern(args.pattern, parser)
         try:
             ug = build_psl2_units(args.p, members)
-        except (BadPattern, ValueError) as exc:
+        except ValueError as exc:
             parser.error(str(exc))
         params = {"kind": "psl2", "p": args.p, "pattern": sorted(members)}
     result = verify_unit_group(ug)
     if not args.verify:
         # enumeration-only view: keep the elements, drop the verdict fields
-        result = {
-            "group": result["group"],
-            "order": result["order"],
-            "elements": result["elements"],
-        }
-        ok = True
-    else:
-        ok = result["ok"]
-        if args.kind == "psl2":
-            result["valenti_witness"] = valenti_search(
-                frozenset(result["trace_pattern"]), args.p)
-    report = _run_report("construct", params, result, ok, t0)
-    return _emit(report, args.json)
+        return params, {key: result[key]
+                        for key in ("group", "order", "elements")}, True
+    if args.kind == "psl2":
+        result["valenti_witness"] = valenti_search(
+            frozenset(result["trace_pattern"]), args.p)
+    return params, result, result["ok"]
 
 
-def cmd_patterns(args, parser) -> int:
-    t0 = time.monotonic()
+def cmd_patterns(args, parser):
     try:
         result = gap_report(args.p)
-    except (NotPrime, ValueError) as exc:
+    except ValueError as exc:
         parser.error(f"--p {args.p}: {exc}")
     if not args.list_missing:
         result.pop("missing", None)
-    report = _run_report(
-        "patterns", {"p": args.p, "list_missing": args.list_missing},
-        result, True, t0,
-    )
-    return _emit(report, args.json)
+    return {"p": args.p, "list_missing": args.list_missing}, result, True
 
 
-def cmd_oracle(args, parser) -> int:
-    t0 = time.monotonic()
+def cmd_oracle(args, parser):
     if args.group == "psl3":
         _reject_unused("--q", args.q, parser)
         group = enumerate_group("psl3", 3)
-        p = 3
     else:
         if args.q is None:
             parser.error("--q is required with --group psl2")
         try:
             group = enumerate_group("psl2", args.q)
-        except (ValueError, TooLarge) as exc:
+        except ValueError as exc:
             parser.error(f"--q {args.q}: {exc}")
-        p = isqrt(args.q)
     result = {"group": group.name, "order": group.order}
     # the closed form q(q^2-1)/2 or 5616; the power walks below look every
     # power up in the list, so they run only on a whole group
     ok = group.order == group.expected_order
     if ok:
-        classes = group.order_p_classes(p)
+        classes = group.order_p_classes(group.p)
         result["exponent"] = group.exponent()
         result["order_p_classes"] = [
             {"size": size} for _rep, size in sorted(classes, key=lambda c: c[1])
         ]
     # --refresh has no effect, but stays in params so reports keep their keys
-    report = _run_report(
-        "oracle", {"group": args.group, "q": args.q, "refresh": args.refresh},
-        result, ok, t0,
-    )
-    return _emit(report, args.json)
+    return ({"group": args.group, "q": args.q, "refresh": args.refresh},
+            result, ok)
 
 
 def _invariant_checks() -> list[dict]:
@@ -235,16 +193,11 @@ def _invariant_checks() -> list[dict]:
     return [{"check": name, "ok": bool(ok)} for name, ok in checks]
 
 
-def cmd_invariants(args, parser) -> int:
-    t0 = time.monotonic()
+def cmd_invariants(args, parser):
     verdicts = _invariant_checks()
-    ok = all(v["ok"] for v in verdicts)
     for v in verdicts:
         print(f"  {'PASS' if v['ok'] else 'FAIL'}  {v['check']}")
-    report = _run_report(
-        "invariants", {}, {"checks": verdicts}, ok, t0
-    )
-    return _emit(report, args.json)
+    return {}, {"checks": verdicts}, all(v["ok"] for v in verdicts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,8 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        code = args.func(args, parser)
+        params, result, ok = args.func(args, parser)
+        wall_clock_s = round(time.monotonic() - t0, 3)
+        code = _emit({"command": args.cmd, "params": params, "result": result,
+                      "ok": ok, "wall_clock_s": wall_clock_s}, args.json)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

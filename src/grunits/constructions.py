@@ -39,12 +39,12 @@ from fractions import Fraction
 
 from .chardata import (CharSlice, TableSlice, ValidationError,
                        format_rational, psl2_slice, psl33_slice)
-from .finitefield import fq_make, is_prime
+from .finitefield import fq_make
 from .matrices import BlockDiag, QMatrix, companion_cyclotomic
 from .patterns import _pattern_of
 
 
-class BadPattern(Exception):
+class BadPattern(ValueError):
     pass
 
 
@@ -179,14 +179,12 @@ def build_psl2_units(p: int, pattern) -> UnitGroup:
     """
     if p > MAX_PRIME:
         raise ValueError(f"p capped at {MAX_PRIME}")
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    table = psl2_slice(p)  # rejects p that is not an odd prime
     members = frozenset(int(i) for i in pattern)
     if not members <= set(range(1, p)) or len(members) != (p - 1) // 2:
         raise BadPattern(
             f"pattern must be a subset of 1..{p - 1} of size {(p - 1) // 2}"
         )
-    table = psl2_slice(p)
     half = (p + 1) // 2
     A = companion_cyclotomic(p)
     bases = {"eta": (QMatrix.identity(1),) + (A,) * half}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-class NotPrime(Exception):
+class NotPrime(ValueError):
     pass
 
 

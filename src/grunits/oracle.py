@@ -29,7 +29,7 @@ from math import gcd, isqrt, lcm
 from .finitefield import fq_make, is_prime
 
 
-class TooLarge(Exception):
+class TooLarge(ValueError):
     pass
 
 

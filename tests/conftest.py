@@ -41,3 +41,33 @@ def renamed_psl33(tmp_path):
         (tmp_path / "psl33.tbl").write_text(text, encoding="utf-8")
         return tmp_path
     return write
+
+
+# byte edits of the shipped PSL(3,3) table that loading must reject with a
+# ParseError or ValidationError, neither crashing nor passing every check
+PSL33_DAMAGES = {
+    "zero-size": [(rb"^class a 3 104$", b"class a 3 0")],
+    "zero-denominator": [(rb"^char chi12 12 12 3 0$",
+                          b"char chi12 12 12 3/0 0")],
+    "not-utf8": [(rb"^char chi13 ", b"char chi\xff13 ")],
+    "no-identity": [(rb"^class 1 ", b"class e ")],
+    "renamed-ab": [(rb"^class a ", b"class x "), (rb"^class b ", b"class y ")],
+    # class b listed twice, with its value repeated in every row
+    "repeated-class": [(rb"^(class b .*)$", rb"\1\n\1"),
+                       (rb"^(char .* (\S+))$", rb"\1 \2")],
+}
+
+
+@pytest.fixture
+def damaged_psl33(tmp_path):
+    """Write the shipped psl33.tbl with one of PSL33_DAMAGES applied into a
+    fresh directory, and return the directory (for GRS_DATA_DIR)."""
+    def write(damage: str):
+        with open(os.path.join(data_dir(), "psl33.tbl"), "rb") as fh:
+            text = fh.read()
+        for pattern, repl in PSL33_DAMAGES[damage]:
+            text, count = re.subn(pattern, repl, text, flags=re.M)
+            assert count, (damage, pattern)
+        (tmp_path / "psl33.tbl").write_bytes(text)
+        return tmp_path
+    return write

@@ -110,11 +110,28 @@ def test_load_table_rejects_bad_orthogonality(tmp_path):
         load_table(str(bad))
 
 
-def test_load_table_parse_error(tmp_path):
-    bad = tmp_path / "bad.tbl"
-    bad.write_text("group X order notanumber\n")
-    with pytest.raises(ParseError):
-        load_table(str(bad))
+# the error psl33_slice must raise on a header whose order is not a number
+# and on each of conftest's PSL33_DAMAGES
+LOAD_ERRORS = {
+    "order-not-a-number": ParseError,
+    "zero-size": ValidationError,
+    "zero-denominator": ParseError,
+    "not-utf8": ParseError,
+    "no-identity": ValidationError,
+    "renamed-ab": ValidationError,
+    "repeated-class": ValidationError,
+}
+
+
+@pytest.mark.parametrize("damage", LOAD_ERRORS)
+def test_load_table_parse_error(damage, tmp_path, damaged_psl33, monkeypatch):
+    if damage == "order-not-a-number":
+        (tmp_path / "psl33.tbl").write_text("group X order notanumber\n")
+    else:
+        damaged_psl33(damage)
+    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    with pytest.raises(LOAD_ERRORS[damage]):
+        psl33_slice()
 
 
 def test_grs_data_dir_env(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import PSL33_DAMAGES
 
 from grunits import constructions
 from grunits.cli import main
@@ -233,6 +234,47 @@ def test_table_without_separating_rows_is_a_validation_failure(
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("validation failure: ")
+
+
+@pytest.mark.parametrize("damage", PSL33_DAMAGES)
+@pytest.mark.parametrize("argv", [["chartab", "--group", "psl33"],
+                                  ["help-scan", "--group", "psl33"],
+                                  ["construct", "psl33", "--verify"],
+                                  ["invariants"]],
+                         ids=["chartab", "help-scan", "construct", "invariants"])
+def test_damaged_table_is_a_validation_failure(argv, damage, damaged_psl33,
+                                               tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "grunits.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "HOME": str(tmp_path),
+             "GRS_DATA_DIR": str(damaged_psl33(damage))},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation failure: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartab", "--group", "psl2", "--p", "5"],
+    ["help-scan", "--group", "psl2", "--p", "5"],
+    ["construct", "psl2", "--p", "5", "--pattern", "1,2"],
+    ["patterns", "--p", "5"],
+    ["oracle", "--group", "psl2", "--q", "9"],
+    ["invariants"],
+], ids=lambda argv: argv[0])
+def test_report_envelope(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(argv + ["--json", str(out)])
+    report = _load(out)
+    assert set(report) == {"command", "params", "result", "ok",
+                           "wall_clock_s"}
+    assert report["command"] == argv[0]
+    assert isinstance(report["ok"], bool)
+    assert code == (0 if report["ok"] else 1)
+    # help-scan and invariants print their own lines before the verdict line
+    lines = capsys.readouterr().out.splitlines()
+    assert f"[{argv[0]}] ok={report['ok']}" in lines
 
 
 def test_missing_table_is_an_error_not_a_traceback(tmp_path):
