@@ -9,6 +9,7 @@ are cross-checked against brute-force group enumeration elsewhere.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,10 +23,6 @@ MAX_PRIME = 101
 def format_rational(x: Fraction | int) -> str:
     """The exact value as "a/b", or as "a" for an integer."""
     return str(Fraction(x))
-
-
-class ParseError(Exception):
-    pass
 
 
 class ValidationError(Exception):
@@ -44,7 +41,7 @@ class ClassInfo:
 class CharSlice:
     name: str
     degree: int
-    values: dict[str, Fraction]  # class id -> exact value
+    values: dict[str, int]  # class id -> value; rational classes, so integers
 
 
 @dataclass(frozen=True)
@@ -118,11 +115,7 @@ def psl2_slice(p: int) -> TableSlice:
     ]
 
     def row(name, deg, vc, vd):
-        return CharSlice(
-            name,
-            deg,
-            {"1": Fraction(deg), "c": Fraction(vc), "d": Fraction(vd)},
-        )
+        return CharSlice(name, deg, {"1": deg, "c": vc, "d": vd})
 
     chars = [row("triv", 1, 1, 1), row("steinberg", q, 0, 0)]
     for i in range((q - 5) // 4):
@@ -130,8 +123,8 @@ def psl2_slice(p: int) -> TableSlice:
     for i in range((q - 1) // 4):
         chars.append(row(f"ds{i + 1}", q - 1, -1, -1))
     half = (q + 1) // 2
-    chars.append(row("eta", half, Fraction(p + 1, 2), Fraction(1 - p, 2)))
-    chars.append(row("eta_t", half, Fraction(1 - p, 2), Fraction(p + 1, 2)))
+    chars.append(row("eta", half, (p + 1) // 2, (1 - p) // 2))  # p is odd
+    chars.append(row("eta_t", half, (1 - p) // 2, (p + 1) // 2))
 
     notes = [
         "degree of eta/eta_t fixed to (p^2+1)/2: it is forced by exact column "
@@ -154,7 +147,7 @@ def validate_orthogonality(t: TableSlice) -> dict:
             total = sum(
                 ch.values[cx.id] * ch.values[cy.id] for ch in t.chars
             )
-            expected = Fraction(cx.centralizer_order if cx.id == cy.id else 0)
+            expected = cx.centralizer_order if cx.id == cy.id else 0
             checks.append(
                 {
                     "columns": [cx.id, cy.id],
@@ -167,15 +160,24 @@ def validate_orthogonality(t: TableSlice) -> dict:
 
 
 def _validate(t: TableSlice) -> TableSlice:
-    # orthogonality compares columns by id, so a repeated id would pass it
     ids = [c.id for c in t.classes]
     if "1" not in ids:
         raise ValidationError(f"{t.group} table has no identity class 1")
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{t.group} table repeats a class id: {ids}")
+    # orthogonality compares columns by id, so a repeated id would pass it,
+    # and a repeated row name would make the row look-ups ambiguous
+    for kind, keys in (("class id", ids), ("row name", [ch.name for ch in t.chars])):
+        if len(set(keys)) != len(keys):
+            raise ValidationError(f"{t.group} table repeats a {kind}: {keys}")
+    for c in t.classes:
+        # only the identity has order 1, and an element's order divides the
+        # order of its centralizer, which contains it
+        if (c.element_order == 1) != (c.id == "1") or c.element_order < 1 \
+                or c.centralizer_order % c.element_order:
+            raise ValidationError(f"class {c.id}: element order {c.element_order} "
+                                  f"is impossible with |C(g)| = {c.centralizer_order}")
     for ch in t.chars:
-        if ch.values["1"] != ch.degree:
-            raise ValidationError(f"row {ch.name}: value at identity != degree")
+        if ch.degree < 1 or ch.values["1"] != ch.degree:
+            raise ValidationError(f"row {ch.name}: degree is not chi(1) > 0")
     report = validate_orthogonality(t)
     if not report["ok"]:
         bad = [c for c in report["checks"] if not c["ok"]]
@@ -183,56 +185,50 @@ def _validate(t: TableSlice) -> TableSlice:
     return t
 
 
-def load_table(path) -> TableSlice:
-    """Parse a line-oriented table slice file and validate it exactly.
+def _integer(token: str) -> int:
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValidationError(f"{token!r} is not a decimal integer")
+    return int(token)
 
-    Format: ``group <name> order <N>``, then ``class <id> <element_order>
-    <class_size>`` lines, then ``char <name> <degree> <value per class>``
-    lines with values as "a/b" in class order.
+
+def load_table(path) -> TableSlice:
+    """Parse a line-oriented table slice file in one strict pass and
+    validate it exactly.
+
+    Format: one ``group <name> order <N>`` line, then ``class <id>
+    <element_order> <class_size>`` lines, then ``char <name> <degree>
+    <value per class>`` lines with the values in class order.  Every
+    number is a decimal integer; blank lines and ``#`` comments are
+    skipped.  Anything else is a `ValidationError` naming the line.
     """
-    group = None
-    order = None
+    group, order = None, None
     classes: list[ClassInfo] = []
     chars: list[CharSlice] = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                parts = raw.decode("utf-8").split()
-                if not parts or parts[0].startswith("#"):
+                kind, *rest = raw.decode("utf-8").split() or ["#"]
+                if kind.startswith("#"):
                     continue
-                if parts[0] == "group":
-                    if parts[2] != "order":
-                        raise ParseError(f"line {lineno}: bad group header")
-                    group, order = parts[1], int(parts[3])
-                elif parts[0] == "class":
-                    if order is None:
-                        raise ParseError(f"line {lineno}: class before group header")
-                    classes.append(
-                        _mk_class(parts[1], int(parts[2]), int(parts[3]), order)
-                    )
-                elif parts[0] == "char":
-                    values = [Fraction(v) for v in parts[3:]]
-                    if len(values) != len(classes):
-                        raise ParseError(
-                            f"line {lineno}: expected {len(classes)} values"
-                        )
-                    deg_frac = Fraction(parts[2])
-                    if deg_frac.denominator != 1 or deg_frac <= 0:
-                        raise ParseError(f"line {lineno}: bad degree {parts[2]}")
-                    deg = int(deg_frac)
-                    chars.append(
-                        CharSlice(
-                            parts[1],
-                            deg,
-                            {c.id: v for c, v in zip(classes, values)},
-                        )
-                    )
+                if (kind == "group" and group is None and len(rest) == 3
+                        and rest[1] == "order"):
+                    group, order = rest[0], _integer(rest[2])
+                elif kind == "class" and len(rest) == 3 and group and not chars:
+                    classes.append(_mk_class(rest[0], *map(_integer, rest[1:]), order))
+                elif kind == "char" and classes and len(rest) == 2 + len(classes):
+                    deg, *values = map(_integer, rest[1:])
+                    chars.append(CharSlice(rest[0], deg, {
+                        c.id: v for c, v in zip(classes, values)}))
                 else:
-                    raise ParseError(f"line {lineno}: unknown directive {parts[0]}")
-            except (IndexError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    if group is None or order is None:
-        raise ParseError("missing group header")
+                    raise ValidationError(
+                        f"unexpected {kind} line with {len(rest)} fields: expected "
+                        f"one `group NAME order N`, then `class ID ORDER SIZE` "
+                        f"lines, then `char NAME DEGREE` plus one value per class")
+            except (ValueError, ValidationError) as exc:  # ValueError: not UTF-8,
+                # or more digits than `int` converts
+                raise ValidationError(f"line {lineno}: {exc}") from None
+    if group is None:
+        raise ValidationError("missing group header")
     return _validate(TableSlice(group, order, classes, chars))
 
 
@@ -246,8 +242,9 @@ def data_dir() -> str:
 def psl33_slice() -> TableSlice:
     """The shipped PSL(3,3) slice on classes {1, a, b}."""
     t = load_table(os.path.join(data_dir(), "psl33.tbl"))
-    if not {"1", "a", "b"} <= {c.id for c in t.classes}:
-        raise ValidationError(f"{t.group} table lacks a class among 1, a, b")
+    orders = {c.id: c.element_order for c in t.classes}
+    if orders.get("a") != 3 or orders.get("b") != 3:
+        raise ValidationError(f"{t.group} table lacks class a or b of order 3")
     return t
 
 
@@ -271,10 +268,10 @@ def mixed_value_decomposition(t: TableSlice, x: str, y: str,
             continue
         # one of d1, d2 is positive and the other negative for the shipped data
         n1, n2 = Fraction(0), Fraction(0)
-        if d1 != 0 and delta / d1 >= 0:
-            n1 = delta / d1
+        if d1 != 0 and Fraction(delta, d1) >= 0:
+            n1 = Fraction(delta, d1)
         elif d2 != 0:
-            n2 = delta / d2
+            n2 = Fraction(delta, d2)
         rest_deg = ch.degree - n1 * b1.degree - n2 * b2.degree
         ok = (
             delta == n1 * d1 + n2 * d2

@@ -21,7 +21,6 @@ import sys
 import time
 
 from .chardata import (
-    ParseError,
     TableSlice,
     ValidationError,
     mixed_value_decomposition,
@@ -136,11 +135,9 @@ def cmd_construct(args, parser):
 
 def cmd_patterns(args, parser):
     try:
-        result = gap_report(args.p)
+        result = gap_report(args.p, args.list_missing)
     except ValueError as exc:
         parser.error(f"--p {args.p}: {exc}")
-    if not args.list_missing:
-        result.pop("missing", None)
     return {"p": args.p, "list_missing": args.list_missing}, result, True
 
 
@@ -267,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValidationError, ParseError) as exc:
+    except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -64,16 +64,15 @@ def hyperplane_table(p: int, rank: int) -> list[tuple[Point, frozenset[int]]]:
 
 
 def _int_rows(theta_set: list[CharSlice], class_ids) -> list[tuple[str, int, int, int]]:
-    """(name, degree, value on first class, value on second class) as ints,
-    one row per distinct (degree, value, value) triple, named after the
-    first row that has it.  Rows with equal triples pass or fail every test
-    together, so the first failing row of the full slice is the witness."""
+    """(name, degree, value on first class, value on second class), one row
+    per distinct (degree, value, value) triple, named after the first row
+    that has it.  Rows with equal triples pass or fail every test together,
+    so the first failing row of the full slice is the witness."""
     rows: dict[tuple[int, int, int], str] = {}
     for theta in theta_set:
-        va, vb = theta.values[class_ids[0]], theta.values[class_ids[1]]
-        if va.denominator != 1 or vb.denominator != 1:
-            raise ValueError("scan requires integer-valued slice rows")
-        rows.setdefault((int(theta.degree), int(va), int(vb)), theta.name)
+        triple = (theta.degree, theta.values[class_ids[0]],
+                  theta.values[class_ids[1]])
+        rows.setdefault(triple, theta.name)
     return [(name, *triple) for triple, name in rows.items()]
 
 

@@ -20,6 +20,8 @@ from itertools import combinations
 from .finitefield import fq_make
 
 MAX_PRIME = 23
+# balanced patterns --list-missing may list: C(12,6) = 924 at p = 13 fit
+MAX_MISSING = 4096
 
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:
@@ -76,11 +78,15 @@ def balanced_patterns(p: int) -> list[frozenset[int]]:
     return [frozenset(c) for c in combinations(range(1, p), half)]
 
 
-def gap_report(p: int) -> dict:
-    """Count balanced patterns against realizable ones and certify any gap."""
-    realizable = group_patterns(p)
+def gap_report(p: int, list_missing: bool) -> dict:
+    """Count balanced patterns against realizable ones and certify any gap;
+    with `list_missing`, list the balanced patterns no pair realizes."""
+    realizable = group_patterns(p)  # first, as it rejects p above the cap
     half = (p - 1) // 2
     n_balanced = comb(p - 1, half)
+    if list_missing and n_balanced > MAX_MISSING:
+        raise ValueError(f"--list-missing lists at most {MAX_MISSING} "
+                         f"balanced patterns, and there are {n_balanced}")
     bound = (p * p - 1) // 2
     report = {
         "p": p,
@@ -90,9 +96,8 @@ def gap_report(p: int) -> dict:
         "counting_gap": n_balanced > bound,
         "gap": n_balanced > len(realizable),
     }
-    if n_balanced <= 4096:
-        missing = sorted(
+    if list_missing:
+        report["missing"] = sorted(
             sorted(s) for s in set(balanced_patterns(p)) - realizable
         )
-        report["missing"] = missing
     return report

@@ -44,7 +44,7 @@ def renamed_psl33(tmp_path):
 
 
 # byte edits of the shipped PSL(3,3) table that loading must reject with a
-# ParseError or ValidationError, neither crashing nor passing every check
+# ValidationError, neither crashing nor passing every check
 PSL33_DAMAGES = {
     "zero-size": [(rb"^class a 3 104$", b"class a 3 0")],
     "zero-denominator": [(rb"^char chi12 12 12 3 0$",
@@ -55,6 +55,20 @@ PSL33_DAMAGES = {
     # class b listed twice, with its value repeated in every row
     "repeated-class": [(rb"^(class b .*)$", rb"\1\n\1"),
                        (rb"^(char .* (\S+))$", rb"\1 \2")],
+    "char-before-class": [(rb"^(class 1 )", rb"char chi0 1\n\1")],
+    "class-after-char": [(rb"^(char chi39 .*)$", rb"\1\nclass c 2 117")],
+    "order-zero": [(rb"^class a 3 ", b"class a 0 ")],
+    "order-two": [(rb"^class a 3 ", b"class a 2 ")],
+    "class-trailing-token": [(rb"^(class 1 1 1)$", rb"\1 1")],
+    "group-trailing-token": [(rb"^(group .*)$", rb"\1 extra")],
+    "repeated-row": [(rb"^char chi16b ", b"char chi16a ")],
+    # b values that keep every column orthogonal but are not integers, so
+    # they cannot be character values on a rational class
+    "non-integral": [(rb"^(char chi12 12 12 3) 0$", rb"\1 27/23"),
+                     (rb"^(char chi13 13 13 4) 1$", rb"\1 -13/23"),
+                     (rb"^(char chi16a 16 16 -2) 1$", rb"\1 -13/23"),
+                     (rb"^(char chi26a 26 26 -1) -1$", rb"\1 -14/23"),
+                     (rb"^(char chi27 27 27 0) 0$", rb"\1 18/23")],
 }
 
 

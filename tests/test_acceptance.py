@@ -117,10 +117,10 @@ def test_criterion_4_counterexample_certification(capsys):
 
 
 def test_criterion_5_gap_counting(capsys):
-    r11 = gap_report(11)
+    r11 = gap_report(11, False)
     ok = r11["balanced"] == 252 and r11["pair_count_bound"] == 60
     ok &= r11["counting_gap"] and r11["gap"]
-    r7 = gap_report(7)
+    r7 = gap_report(7, True)
     ok &= len(r7["missing"]) > 0 and [1, 2, 4] in r7["missing"]
     _verdict(capsys, "5 (gap counting)", ok)
 

@@ -1,10 +1,9 @@
 import os
-from fractions import Fraction
 
 import pytest
+from conftest import PSL33_DAMAGES
 
 from grunits.chardata import (
-    ParseError,
     ValidationError,
     load_table,
     mixed_value_decomposition,
@@ -110,17 +109,9 @@ def test_load_table_rejects_bad_orthogonality(tmp_path):
         load_table(str(bad))
 
 
-# the error psl33_slice must raise on a header whose order is not a number
-# and on each of conftest's PSL33_DAMAGES
-LOAD_ERRORS = {
-    "order-not-a-number": ParseError,
-    "zero-size": ValidationError,
-    "zero-denominator": ParseError,
-    "not-utf8": ParseError,
-    "no-identity": ValidationError,
-    "renamed-ab": ValidationError,
-    "repeated-class": ValidationError,
-}
+# psl33_slice must raise a ValidationError on a header whose order is not a
+# number and on each of conftest's PSL33_DAMAGES
+LOAD_ERRORS = ("order-not-a-number", *PSL33_DAMAGES)
 
 
 @pytest.mark.parametrize("damage", LOAD_ERRORS)
@@ -130,8 +121,23 @@ def test_load_table_parse_error(damage, tmp_path, damaged_psl33, monkeypatch):
     else:
         damaged_psl33(damage)
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
-    with pytest.raises(LOAD_ERRORS[damage]):
+    with pytest.raises(ValidationError):
         psl33_slice()
+
+
+def test_load_errors_name_the_line(tmp_path, damaged_psl33, monkeypatch):
+    monkeypatch.setenv("GRS_DATA_DIR", str(damaged_psl33("non-integral")))
+    with pytest.raises(ValidationError,
+                       match="^line 12: '27/23' is not a decimal integer$"):
+        psl33_slice()
+
+
+@pytest.mark.parametrize("table", [psl2_slice(p) for p in (3, 5, 7, 11, 13)]
+                         + [psl33_slice()], ids=lambda t: t.group)
+def test_slices_hold_only_int_values(table):
+    assert all(type(ch.degree) is int for ch in table.chars)
+    assert all(type(v) is int
+               for ch in table.chars for v in ch.values.values())
 
 
 def test_grs_data_dir_env(tmp_path, monkeypatch):

@@ -151,6 +151,9 @@ def test_usage_errors(capsys):
         (["chartab", "--group", "psl2"], missing),
         (["help-scan", "--group", "psl2", "--p", "103"], capped),
         (["chartab", "--group", "psl2", "--p", "103"], capped),
+        # p = 17 has C(16,8) = 12870 balanced patterns, above the 4096 listed
+        (["patterns", "--p", "17", "--list-missing"],
+         "--p 17: --list-missing lists at most 4096 balanced patterns"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -194,6 +197,7 @@ def test_usage_errors(capsys):
     ["chartab", "--group", "psl2", "--p", str(2 ** 61 - 1)],
     ["construct", "psl2", "--p", str(2 ** 61 - 1), "--pattern", "1"],
     ["oracle", "--group", "psl2", "--q", str((2 ** 61 - 1) ** 2)],
+    ["patterns", "--p", str(2 ** 61 - 1), "--list-missing"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(

@@ -245,7 +245,7 @@ def test_rank2_report_has_no_allowed_intersections():
 
 # degree 27, -9 on a, 0 on b: at x = 3 the first assignment {0, 1, 2} is
 # collinear and fails the kernels, while a non-collinear triple passes
-SYNTHETIC = [CharSlice("syn", 27, {"a": Fraction(-9), "b": Fraction(0)})]
+SYNTHETIC = [CharSlice("syn", 27, {"a": -9, "b": 0})]
 
 
 @pytest.mark.parametrize("theta_set, some_pass", [
@@ -357,7 +357,7 @@ def test_synthetic_rank3_scan_matches_row_loop():
 def test_empty_allowed_set_counts_every_assignment_unenumerated():
     # degree 1, 28 on both classes: the trivial multiplicity 729/27 passes
     # at every x, every kernel multiplicity is -1, so every A(x) is empty
-    theta_set = [CharSlice("flat", 1, {"a": Fraction(28), "b": Fraction(28)})]
+    theta_set = [CharSlice("flat", 1, {"a": 28, "b": 28})]
     scan = _assert_scan_matches_row_loop(theta_set, 3, 3, ("a", "b"))
     assert scan["allowed_intersections"] == [[]] * 14
     assert [w["assignments_checked"] for w in scan["witnesses"]] == [

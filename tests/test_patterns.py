@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from grunits import patterns
@@ -99,7 +101,7 @@ def test_small_p_all_balanced_realizable(p):
 
 
 def test_p7_gap_contains_124():
-    report = gap_report(7)
+    report = gap_report(7, True)
     assert report["gap"]
     assert [1, 2, 4] in report["missing"]
     assert report["balanced"] == 20
@@ -107,7 +109,7 @@ def test_p7_gap_contains_124():
 
 
 def test_p11_counting_gap():
-    report = gap_report(11)
+    report = gap_report(11, False)
     assert report["balanced"] == 252
     assert report["pair_count_bound"] == 60
     assert report["counting_gap"]
@@ -115,6 +117,11 @@ def test_p11_counting_gap():
 
 
 def test_p5_no_gap():
-    report = gap_report(5)
+    report = gap_report(5, True)
     assert not report["gap"]
     assert report["missing"] == []
+
+
+def test_missing_listed_only_on_request():
+    assert "missing" not in gap_report(7, False)
+    assert len(gap_report(13, True)["missing"]) == comb(12, 6) - 42
