@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .finitefield import is_prime
 
@@ -29,28 +29,25 @@ class ValidationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(NamedTuple):
     id: str
     element_order: int
     class_size: int
     centralizer_order: int
 
 
-@dataclass(frozen=True)
-class CharSlice:
+class CharSlice(NamedTuple):
     name: str
     degree: int
     values: dict[str, int]  # class id -> value; rational classes, so integers
 
 
-@dataclass(frozen=True)
-class TableSlice:
+class TableSlice(NamedTuple):
     group: str
     group_order: int
     classes: list[ClassInfo]
     chars: list[CharSlice]
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
     def char_by_name(self, name: str) -> CharSlice:
         for ch in self.chars:
@@ -62,15 +59,7 @@ class TableSlice:
         return {
             "group": self.group,
             "order": self.group_order,
-            "classes": [
-                {
-                    "id": c.id,
-                    "element_order": c.element_order,
-                    "class_size": c.class_size,
-                    "centralizer_order": c.centralizer_order,
-                }
-                for c in self.classes
-            ],
+            "classes": [c._asdict() for c in self.classes],
             "chars": [
                 {
                     "name": ch.name,
@@ -126,11 +115,11 @@ def psl2_slice(p: int) -> TableSlice:
     chars.append(row("eta", half, (p + 1) // 2, (1 - p) // 2))  # p is odd
     chars.append(row("eta_t", half, (1 - p) // 2, (p + 1) // 2))
 
-    notes = [
+    notes = (
         "degree of eta/eta_t fixed to (p^2+1)/2: it is forced by exact column "
         "orthogonality and by the block dimension count 1 + (p-1)(p+1)/2; the "
-        "value (p^2-1)/2 sometimes quoted for these rows fails both checks"
-    ]
+        "value (p^2-1)/2 sometimes quoted for these rows fails both checks",
+    )
     return TableSlice(f"PSL(2,{q})", order, classes, chars, notes)
 
 

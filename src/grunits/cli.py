@@ -123,6 +123,9 @@ def cmd_construct(args, parser):
             parser.error(str(exc))
         params = {"kind": "psl2", "p": args.p, "pattern": sorted(members)}
     result = verify_unit_group(ug)
+    if not result["ok"]:
+        # the full result, in either mode, so that its problems are printed
+        return params, result, False
     if not args.verify:
         # enumeration-only view: keep the elements, drop the verdict fields
         return params, {key: result[key]
@@ -130,7 +133,7 @@ def cmd_construct(args, parser):
     if args.kind == "psl2":
         result["valenti_witness"] = valenti_search(
             frozenset(result["trace_pattern"]), args.p)
-    return params, result, result["ok"]
+    return params, result, True
 
 
 def cmd_patterns(args, parser):
@@ -153,15 +156,16 @@ def cmd_oracle(args, parser):
         except ValueError as exc:
             parser.error(f"--q {args.q}: {exc}")
     result = {"group": group.name, "order": group.order}
-    # the closed form q(q^2-1)/2 or 5616; the power walks below look every
+    # each fact against its closed form; the power walks below look every
     # power up in the list, so they run only on a whole group
     ok = group.order == group.expected_order
     if ok:
-        classes = group.order_p_classes(group.p)
-        result["exponent"] = group.exponent()
-        result["order_p_classes"] = [
-            {"size": size} for _rep, size in sorted(classes, key=lambda c: c[1])
-        ]
+        exponent = group.exponent()
+        sizes = sorted(size for _rep, size in group.order_p_classes(group.p))
+        result["exponent"] = exponent
+        result["order_p_classes"] = [{"size": size} for size in sizes]
+        ok = (exponent == group.expected_exponent
+              and sizes == group.expected_class_sizes)
     # --refresh has no effect, but stays in params so reports keep their keys
     return ({"group": args.group, "q": args.q, "refresh": args.refresh},
             result, ok)

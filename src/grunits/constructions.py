@@ -34,7 +34,6 @@ the reference that tests compare against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chardata import (CharSlice, TableSlice, ValidationError,
@@ -73,7 +72,6 @@ def invert_profile(rows: list[CharSlice], traces: dict[str, Fraction],
 MAX_PRIME = 13
 
 
-@dataclass
 class UnitGroup:
     """An elementary-abelian p-group of block-diagonal units.
 
@@ -88,23 +86,21 @@ class UnitGroup:
     the verification fail rather than the elements silently wrong.
     """
 
-    table: TableSlice
-    p: int
-    support: tuple[str, str]
-    distinguished: dict[str, str]  # component name -> character row name
-    generator_names: list[str]
-    bases: dict[str, tuple[QMatrix, ...]]
-    generator_exponents: list[dict[str, tuple[int, ...]]]
-    pattern: frozenset[int] | None = None
-    powers: dict[QMatrix, list[QMatrix]] = field(init=False)
-    solve_rows: list[CharSlice] = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, table: TableSlice, p: int, support: tuple[str, str],
+                 distinguished: dict[str, str], generator_names: list[str],
+                 bases: dict[str, tuple[QMatrix, ...]],
+                 generator_exponents: list[dict[str, tuple[int, ...]]],
+                 pattern: frozenset[int] | None = None) -> None:
+        self.table, self.p, self.support = table, p, support
+        # component name -> character row name
+        self.distinguished, self.generator_names = distinguished, generator_names
+        self.bases, self.generator_exponents = bases, generator_exponents
+        self.pattern = pattern
         shape = {c: len(blocks) for c, blocks in self.bases.items()}
         for gen in self.generator_exponents:
             if {c: len(ks) for c, ks in gen.items()} != shape:
                 raise ValueError("generator exponents do not match the blocks")
-        self.powers = {}
+        self.powers: dict[QMatrix, list[QMatrix]] = {}
         for blocks in self.bases.values():
             for base in blocks:
                 if base not in self.powers:

@@ -39,11 +39,12 @@ ORDER_CAP = 100_000
 class GroupOracle:
     """An enumerated finite matrix group with canonical representatives.
 
-    A subclass describes one group: `name`, modulus `p`, closed-form
-    `expected_order`, `identity`, `generators` (which the conjugacy orbits
-    walk), the canonical product `mul`, `generate`, which lists the group
-    in increasing order, and, where the group has a centre to quotient by,
-    `canon`.
+    A subclass describes one group: `name`, modulus `p`, the closed forms
+    `expected_order`, `expected_exponent` and `expected_class_sizes` (of
+    the order-p classes, in increasing order), `identity`, `generators`
+    (which the conjugacy orbits walk), the canonical product `mul`,
+    `generate`, which lists the group in increasing order, and, where the
+    group has a centre to quotient by, `canon`.
     """
 
     def __init__(self) -> None:
@@ -150,6 +151,10 @@ class PSL2(GroupOracle):
         q = p * p
         self.name, self.p = f"PSL(2,{q})", p
         self.expected_order = q * (q * q - 1) // 2
+        # orders p, the divisors of (q-1)/2 (split torus) and of (q+1)/2
+        # (non-split torus); two unipotent classes of (q^2-1)/2 each
+        self.expected_exponent = lcm(p, (q - 1) // 2, (q + 1) // 2)
+        self.expected_class_sizes = [(q * q - 1) // 2] * 2
         if self.expected_order > ORDER_CAP:
             raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
         if not is_prime(p):
@@ -219,6 +224,9 @@ class PSL3(GroupOracle):
     """PSL(3,3) = SL(3,3), whose centre is trivial."""
 
     name, p, expected_order = "PSL(3,3)", 3, 5616
+    # 312 = lcm(13, 8, 6, 3); the order-3 classes are the transvections and
+    # the regular unipotents
+    expected_exponent, expected_class_sizes = 312, [104, 624]
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     # the elementary transvections I + E_ij, i != j
     generators = [tuple(int(k in (0, 4, 8, 3 * i + j)) for k in range(9))

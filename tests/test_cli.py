@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from conftest import PSL33_DAMAGES
 
+import grunits
 from grunits import constructions
+from grunits.chardata import data_dir
 from grunits.cli import main
 from grunits.oracle import PSL2
 
@@ -72,6 +75,39 @@ def test_construct_psl33_verify(tmp_path):
     assert by_exp[(1, 0, 0)]["aug"] == {"a": "3", "b": "-2"}
 
 
+def test_construct_without_verify_reports_a_failed_verdict(
+        tmp_path, monkeypatch, capsys):
+    # the b column negated keeps every column orthogonal, but chi16a then
+    # contradicts the (eps_a, eps_b) that chi12 gives, with or without --verify
+    with open(os.path.join(data_dir(), "psl33.tbl"), encoding="utf-8") as fh:
+        text = fh.read()
+    (tmp_path / "psl33.tbl").write_text(re.sub(
+        r"^(char .*) (\S+)$", lambda m: f"{m[1]} {-int(m[2])}", text,
+        flags=re.M))
+    out = tmp_path / "r.json"
+    for data, code, count in [(tmp_path, 1, 8), (data_dir(), 0, 26)]:
+        monkeypatch.setenv("GRS_DATA_DIR", str(data))
+        for verify in ([], ["--verify"]):
+            assert main(["construct", "psl33", *verify,
+                         "--json", str(out)]) == code
+            stdout = capsys.readouterr().out
+            assert ("witness: " in stdout) == (code == 1)
+            assert ("chi16a contradicts" in stdout) == (code == 1)
+            assert len(_load(out)["result"]["elements"]) == count
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, grunits.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_patterns(tmp_path):
     out = tmp_path / "r.json"
     assert main(["patterns", "--p", "7", "--list-missing",
@@ -105,16 +141,30 @@ def test_oracle_refresh_changes_only_its_param(tmp_path):
 
 def test_oracle_verdict_is_the_closed_form_order(tmp_path, monkeypatch,
                                                  capsys):
+    argv = ["oracle", "--group", "psl2", "--q", "9"]
+    out = tmp_path / "r.json"
     # one element short of q(q^2-1)/2: the count identity must fail
     generate = PSL2.generate
-    monkeypatch.setattr(PSL2, "generate", lambda self: generate(self)[1:])
-    out = tmp_path / "r.json"
-    assert main(["oracle", "--group", "psl2", "--q", "9",
-                 "--json", str(out)]) == 1
+    with monkeypatch.context() as m:
+        m.setattr(PSL2, "generate", lambda self: generate(self)[1:])
+        assert main(argv + ["--json", str(out)]) == 1
     report = _load(out)
     assert report["ok"] is False
     assert report["result"] == {"group": "PSL(2,9)", "order": 359}
     assert "[oracle] ok=False" in capsys.readouterr().out
+    # a whole group whose exponent, or list of order-p classes, misses its
+    # closed form lcm(p, (q-1)/2, (q+1)/2) = 60 or [40, 40]
+    classes = PSL2.order_p_classes
+    for name, fault, shown in [
+            ("exponent", lambda self: 30, 30),
+            ("order_p_classes", lambda self, p: classes(self, p)[:1],
+             [{"size": 40}])]:
+        with monkeypatch.context() as m:
+            m.setattr(PSL2, name, fault)
+            assert main(argv + ["--json", str(out)]) == 1
+        report = _load(out)
+        assert report["ok"] is False
+        assert report["result"][name] == shown
 
 
 def test_invariants_gate(tmp_path):

@@ -1,10 +1,10 @@
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
 from grunits.constructions import (
     BadPattern,
+    UnitGroup,
     build_psl2_units,
     build_psl33_units,
     element_profile,
@@ -201,10 +201,19 @@ def test_psl33_exponent_vectors_match_products():
     _assert_matches_reference(build_psl33_units(), _psl33_generators())
 
 
+def _rebuilt(ug, bases=None, generator_exponents=None):
+    """`ug` built again through the constructor, with other bases or
+    generator exponents."""
+    return UnitGroup(ug.table, ug.p, ug.support, ug.distinguished,
+                     ug.generator_names, bases or ug.bases,
+                     generator_exponents or ug.generator_exponents,
+                     ug.pattern)
+
+
 def test_verify_rejects_trivial_generator():
     ug = build_psl2_units(5, {1, 2})
     _u, v = ug.generator_exponents
-    bad = replace(ug, generator_exponents=[{"eta": (0, 0, 0, 0)}, v])
+    bad = _rebuilt(ug, generator_exponents=[{"eta": (0, 0, 0, 0)}, v])
     report = verify_unit_group(bad)
     assert "generator u does not have order 5 in eta" in report["problems"]
     assert not report["ok"]
@@ -216,7 +225,7 @@ def test_verify_rejects_base_of_wrong_order():
     # -I has order 2, so exponents of this block cannot be read mod 5
     minus_one = QMatrix([[-1, 0, 0, 0], [0, -1, 0, 0],
                          [0, 0, -1, 0], [0, 0, 0, -1]])
-    bad = replace(ug, bases={"eta": blocks[:-1] + (minus_one,)})
+    bad = _rebuilt(ug, bases={"eta": blocks[:-1] + (minus_one,)})
     report = verify_unit_group(bad)
     assert "generator v does not have order 5 in eta" in report["problems"]
     assert not report["ok"]
@@ -227,7 +236,7 @@ def test_verify_rejects_generators_on_swapped_classes():
     # so only the generator-class check can catch it
     ug = build_psl2_units(5, {1, 4})
     u, v = ug.generator_exponents
-    report = verify_unit_group(replace(ug, generator_exponents=[v, u]))
+    report = verify_unit_group(_rebuilt(ug, generator_exponents=[v, u]))
     assert report["trace_pattern"] == [1, 4]
     assert "generator u does not lie on class c" in report["problems"]
     assert report["ok"] is False
@@ -236,7 +245,7 @@ def test_verify_rejects_generators_on_swapped_classes():
 def test_verify_rejects_equal_generators():
     ug = build_psl2_units(5, {1, 2})
     _u, v = ug.generator_exponents
-    report = verify_unit_group(replace(ug, generator_exponents=[v, v]))
+    report = verify_unit_group(_rebuilt(ug, generator_exponents=[v, v]))
     assert report["faithful"] is False
     assert report["ok"] is False
 
@@ -287,6 +296,6 @@ def test_verify_rejects_traces_breaking_augmentation_one():
     # (3, -2), which the chi16a row then contradicts
     bad_alpha = {**alpha, "phi": (0,) + alpha["phi"][1:]}
     report = verify_unit_group(
-        replace(ug, generator_exponents=[bad_alpha, beta, gamma]))
+        _rebuilt(ug, generator_exponents=[bad_alpha, beta, gamma]))
     assert any(p.startswith("element (1, 0, 0): ") for p in report["problems"])
     assert report["ok"] is False

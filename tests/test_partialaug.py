@@ -1,7 +1,6 @@
 """The exact partial-augmentation solve, `constructions.invert_profile`."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from grunits.chardata import CharSlice, ValidationError, psl2_slice, psl33_slice
 from grunits.constructions import (
     Inconsistent,
+    UnitGroup,
     build_psl2_units,
     invert_profile,
 )
@@ -69,7 +69,9 @@ def test_no_separating_row_is_underdetermined():
     # the group is rejected when it is built, before any element is solved
     ug = build_psl2_units(5, {1, 2})
     with pytest.raises(ValidationError, match="do not separate classes c and d"):
-        replace(ug, distinguished={"eta": "triv"})
+        UnitGroup(ug.table, ug.p, ug.support, {"eta": "triv"},
+                  ug.generator_names, ug.bases, ug.generator_exponents,
+                  ug.pattern)
 
 
 def test_three_class_support_is_rejected():
