@@ -238,22 +238,21 @@ def psl33_slice() -> TableSlice:
 
 
 def mixed_value_decomposition(t: TableSlice, x: str, y: str,
-                              base1: str, base2: str) -> dict:
-    """Express each row's (x,y)-imbalance through the two designated rows.
+                              base1: str, base2: str) -> bool:
+    """Whether each row's (x,y)-imbalance goes through the two designated rows.
 
     Every row theta must satisfy theta = n1*base1 + n2*base2 + rho with
     n1, n2 non-negative integers and rho equal on x and y with non-negative
-    degree.  This is the structural fact that lets unit constructions pin
-    only the two distinguished components.
+    degree; the answer is False at the first row that does not.  This is
+    the structural fact that lets unit constructions pin only the two
+    distinguished components.
     """
     b1, b2 = t.char_by_name(base1), t.char_by_name(base2)
     d1 = b1.values[x] - b1.values[y]
     d2 = b2.values[x] - b2.values[y]
-    entries = []
     for ch in t.chars:
         delta = ch.values[x] - ch.values[y]
         if delta == 0:
-            entries.append({"row": ch.name, "n1": 0, "n2": 0, "ok": True})
             continue
         # one of d1, d2 is positive and the other negative for the shipped data
         n1, n2 = Fraction(0), Fraction(0)
@@ -262,13 +261,11 @@ def mixed_value_decomposition(t: TableSlice, x: str, y: str,
         elif d2 != 0:
             n2 = Fraction(delta, d2)
         rest_deg = ch.degree - n1 * b1.degree - n2 * b2.degree
-        ok = (
-            delta == n1 * d1 + n2 * d2
-            and n1.denominator == 1
-            and n2.denominator == 1
-            and n1 >= 0
-            and n2 >= 0
-            and rest_deg >= 0
-        )
-        entries.append({"row": ch.name, "n1": str(n1), "n2": str(n2), "ok": bool(ok)})
-    return {"ok": all(e["ok"] for e in entries), "rows": entries}
+        if not (delta == n1 * d1 + n2 * d2
+                and n1.denominator == 1
+                and n2.denominator == 1
+                and n1 >= 0
+                and n2 >= 0
+                and rest_deg >= 0):
+            return False
+    return True

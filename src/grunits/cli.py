@@ -3,13 +3,14 @@
 Each command returns its (params, result, ok); `main` times it, wraps the
 three in the one report envelope {command, params, result, ok,
 wall_clock_s} and emits it.  A bad argument that only a lower layer can
-judge raises a `ValueError` there, which the command turns into a usage
-error.  Every report field is exact (integers or "a/b" strings); the only
-non-deterministic field is wall_clock_s, which callers comparing reports
-should drop.  Exit codes: 0 all verdicts pass / enumeration completed,
-1 a validation failed (the witness is printed), or the reader closed
-stdout before the report was written (`| head`; nothing is printed),
-2 usage error, missing data file or a --json PATH that cannot be written.
+judge raises a plain `ValueError` there (no layer defines a subclass),
+which the command turns into a usage error.  Every report field is exact
+(integers or "a/b" strings); the only non-deterministic field is
+wall_clock_s, which callers comparing reports should drop.  Exit codes:
+0 all verdicts pass / enumeration completed, 1 a validation failed (the
+witness is printed), or the reader closed stdout before the report was
+written (`| head`; nothing is printed), 2 usage error, missing data file
+or a --json PATH that cannot be written.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def cmd_oracle(args, parser):
     ok = group.order == group.expected_order
     if ok:
         exponent = group.exponent()
-        sizes = sorted(size for _rep, size in group.order_p_classes(group.p))
+        sizes = sorted(size for _rep, size in group.order_p_classes())
         result["exponent"] = exponent
         result["order_p_classes"] = [{"size": size} for size in sizes]
         ok = (exponent == group.expected_exponent
@@ -180,7 +181,7 @@ def _invariant_checks() -> list[dict]:
     checks += [
         ("psl33 orthogonality", validate_orthogonality(psl33_slice())["ok"]),
         ("psl33 degree decomposition", mixed_value_decomposition(
-            psl33_slice(), "a", "b", "chi12", "chi16a")["ok"]),
+            psl33_slice(), "a", "b", "chi12", "chi16a")),
         ("square lines p=7", square_lines(7) == (4, 4)),
         ("oracle |PSL(2,9)| = 360", cached_group("psl2", 9).order == 360),
         ("oracle |PSL(3,3)| = 5616", cached_group("psl3", 3).order == 5616),

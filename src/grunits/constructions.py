@@ -43,10 +43,6 @@ from .matrices import BlockDiag, QMatrix, companion_cyclotomic
 from .patterns import _pattern_of
 
 
-class BadPattern(ValueError):
-    pass
-
-
 class Inconsistent(Exception):
     """The traces admit no exact augmentation solution."""
 
@@ -77,13 +73,15 @@ class UnitGroup:
 
     `bases` gives, per component, the base matrix of each block, and
     `generator_exponents` gives, per generator and component, the exponent
-    of each block's base.  Element (e_1, ..., e_r) has block exponents
-    sum_i e_i * k_ij mod p, so its blocks are entries of the power tables
-    and its trace is a sum of table traces.  The tables are built by real
-    `QMatrix` products; that the exponents may be read mod p (M^p = I) and
-    that the generators are non-trivial, commute and act faithfully is
-    what `verify_unit_group` proves, so an inconsistent presentation makes
-    the verification fail rather than the elements silently wrong.
+    of each block's base.  `rank` is the number of generators r; the
+    group has order p^r once `verify_unit_group` proves it faithful.
+    Element (e_1, ..., e_r) has block exponents sum_i e_i * k_ij mod p, so
+    its blocks are entries of the power tables and its trace is a sum of
+    table traces.  The tables are built by real `QMatrix` products; that
+    the exponents may be read mod p (M^p = I) and that the generators are
+    non-trivial, commute and act faithfully is what `verify_unit_group`
+    proves, so an inconsistent presentation makes the verification fail
+    rather than the elements silently wrong.
     """
 
     def __init__(self, table: TableSlice, p: int, support: tuple[str, str],
@@ -96,6 +94,7 @@ class UnitGroup:
         self.distinguished, self.generator_names = distinguished, generator_names
         self.bases, self.generator_exponents = bases, generator_exponents
         self.pattern = pattern
+        self.rank = len(generator_exponents)
         shape = {c: len(blocks) for c, blocks in self.bases.items()}
         for gen in self.generator_exponents:
             if {c: len(ks) for c, ks in gen.items()} != shape:
@@ -124,10 +123,6 @@ class UnitGroup:
             names = ", ".join(self.distinguished.values())
             raise ValidationError(f"{self.table.group}: rows {names} do not "
                                   f"separate classes {x} and {y}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.generator_exponents)
 
     def block_exponents(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
         out = {}
@@ -162,9 +157,6 @@ class UnitGroup:
             for i in range(self.rank)
         ]
 
-    def order(self) -> int:
-        return self.p ** self.rank
-
 
 def build_psl2_units(p: int, pattern) -> UnitGroup:
     """The pair u, v in the eta-component of PSL(2,p^2) realizing `pattern`.
@@ -178,7 +170,7 @@ def build_psl2_units(p: int, pattern) -> UnitGroup:
     table = psl2_slice(p)  # rejects p that is not an odd prime
     members = frozenset(int(i) for i in pattern)
     if not members <= set(range(1, p)) or len(members) != (p - 1) // 2:
-        raise BadPattern(
+        raise ValueError(
             f"pattern must be a subset of 1..{p - 1} of size {(p - 1) // 2}"
         )
     half = (p + 1) // 2
@@ -196,7 +188,7 @@ def build_psl33_units() -> UnitGroup:
     """The rank-3 group generated by alpha, beta, gamma in the two
     distinguished components (degree 12 and degree 16) of PSL(3,3)."""
     table = psl33_slice()
-    A = QMatrix([[0, -1], [1, -1]])
+    A = companion_cyclotomic(3)
     power = {"E": 0, "A": 1, "B": 2}
 
     def blocks(letters: str) -> tuple[int, ...]:
@@ -346,7 +338,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
         "group": ug.table.group,
         "p": p,
         "rank": rank,
-        "order": ug.order(),
+        "order": p ** rank,
         "faithful": faithful,
         "counts": counts,
         "all_integral": all_integral,

@@ -16,10 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-class NotPrime(ValueError):
-    pass
-
-
 class ZeroElement(Exception):
     pass
 
@@ -43,10 +39,10 @@ class Fq:
 
     def __init__(self, p: int) -> None:
         if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
         if p == 2:
-            raise NotPrime("p = 2 is excluded; the quadratic-residue "
-                           "combinatorics degenerates there")
+            raise ValueError("p = 2 is excluded; the quadratic-residue "
+                             "combinatorics degenerates there")
         self.p = p
         self.q = p * p
         self.t = self._smallest_nonresidue(p)

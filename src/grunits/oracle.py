@@ -29,10 +29,6 @@ from math import gcd, isqrt, lcm
 from .finitefield import fq_make, is_prime
 
 
-class TooLarge(ValueError):
-    pass
-
-
 ORDER_CAP = 100_000
 
 
@@ -42,18 +38,15 @@ class GroupOracle:
     A subclass describes one group: `name`, modulus `p`, the closed forms
     `expected_order`, `expected_exponent` and `expected_class_sizes` (of
     the order-p classes, in increasing order), `identity`, `generators`
-    (which the conjugacy orbits walk), the canonical product `mul`,
-    `generate`, which lists the group in increasing order, and, where the
-    group has a centre to quotient by, `canon`.
+    (which the conjugacy orbits walk), the product `mul`, which returns
+    the canonical representative, and `generate`, which lists the group in
+    increasing order.
     """
 
     def __init__(self) -> None:
         self.elements: list[tuple] = []
         self._index: dict = {}
         self._orders: list[int] | None = None
-
-    def canon(self, x: tuple) -> tuple:
-        return x
 
     def enumerate(self) -> "GroupOracle":
         self.elements = self.generate()
@@ -129,10 +122,11 @@ class GroupOracle:
             remaining -= orbit
         return classes
 
-    def order_p_classes(self, p: int) -> list[tuple]:
-        """(representative, class size) for each class of order-p elements."""
+    def order_p_classes(self) -> list[tuple]:
+        """(representative, class size) for each class of elements whose
+        order is the group's own modulus `p`."""
         return self._classes_of(
-            {x for x, k in zip(self.elements, self.orders()) if k == p})
+            {x for x, k in zip(self.elements, self.orders()) if k == self.p})
 
     def full_class_partition(self) -> list[tuple]:
         return self._classes_of(set(self.elements))
@@ -156,7 +150,7 @@ class PSL2(GroupOracle):
         self.expected_exponent = lcm(p, (q - 1) // 2, (q + 1) // 2)
         self.expected_class_sizes = [(q * q - 1) // 2] * 2
         if self.expected_order > ORDER_CAP:
-            raise TooLarge(f"PSL(2,{q}) exceeds the enumeration cap")
+            raise ValueError(f"PSL(2,{q}) exceeds the enumeration cap")
         if not is_prime(p):
             raise ValueError(f"q = {q} is not the square of an odd prime")
         self.t = fq_make(p).t

@@ -150,18 +150,18 @@ def test_criterion_7_character_data_integrity(capsys):
     ok &= validate_orthogonality(t33)["ok"]
     for p in (3, 5, 7):
         sizes = sorted(s for _r, s in cached_group("psl2", p * p)
-                       .order_p_classes(p))
+                       .order_p_classes())
         ok &= sizes == sorted(c.class_size for c in psl2_slice(p).classes
                               if c.id != "1")
     g33 = cached_group("psl3", 3)
-    sizes33 = sorted(s for _r, s in g33.order_p_classes(3))
+    sizes33 = sorted(s for _r, s in g33.order_p_classes())
     ok &= sizes33 == sorted(c.class_size for c in t33.classes if c.id != "1")
     _verdict(capsys, "7 (character-data integrity)", ok)
 
 
 def test_criterion_8_oracle_coherence(capsys):
     g9 = cached_group("psl2", 9)
-    classes = g9.order_p_classes(3)
+    classes = g9.order_p_classes()
     ok = g9.order == 360 and sorted(s for _r, s in classes) == [40, 40]
     ok &= all(check_square_criterion(p) for p in (3, 5, 7))
     ok &= all(

@@ -79,8 +79,7 @@ def test_psl33_mixed_rows_and_decomposition():
     for name in ("chi12", "chi16a"):
         row = t.char_by_name(name)
         assert row.values["a"] != row.values["b"]
-    dec = mixed_value_decomposition(t, "a", "b", "chi12", "chi16a")
-    assert dec["ok"]
+    assert mixed_value_decomposition(t, "a", "b", "chi12", "chi16a") is True
 
 
 def test_decomposition_fails_when_base_rows_do_not_separate(renamed_psl33):
@@ -88,7 +87,7 @@ def test_decomposition_fails_when_base_rows_do_not_separate(renamed_psl33):
     # accounts for another row's imbalance, whatever n1 and n2 are
     t = load_table(renamed_psl33("swapped-names") / "psl33.tbl")
     assert validate_orthogonality(t)["ok"]
-    assert not mixed_value_decomposition(t, "a", "b", "chi12", "chi16a")["ok"]
+    assert mixed_value_decomposition(t, "a", "b", "chi12", "chi16a") is False
 
 
 def test_missing_row_is_a_validation_error():

@@ -108,6 +108,22 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/spans.py looks grunits names up by attribute, and only the
+    # traced benchmark run installs it, so a deleted or renamed name would
+    # otherwise fail nowhere else
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    root = os.path.dirname(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:]; "
+         "import spans, grunits.oracle; spans.install(spans.Tracer()); "
+         "grunits.oracle.cache_dir()",
+         os.path.join(root, "perfbench"), src],
+        capture_output=True, text=True, timeout=60, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_patterns(tmp_path):
     out = tmp_path / "r.json"
     assert main(["patterns", "--p", "7", "--list-missing",
@@ -157,7 +173,7 @@ def test_oracle_verdict_is_the_closed_form_order(tmp_path, monkeypatch,
     classes = PSL2.order_p_classes
     for name, fault, shown in [
             ("exponent", lambda self: 30, 30),
-            ("order_p_classes", lambda self, p: classes(self, p)[:1],
+            ("order_p_classes", lambda self: classes(self)[:1],
              [{"size": 40}])]:
         with monkeypatch.context() as m:
             m.setattr(PSL2, name, fault)

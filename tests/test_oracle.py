@@ -8,7 +8,6 @@ from grunits.finitefield import fq_make
 from grunits.oracle import (
     PSL2,
     PSL3,
-    TooLarge,
     cached_group,
     check_square_criterion,
     enumerate_group,
@@ -19,7 +18,7 @@ from reference import closure
 def test_psl2_9_order_and_classes():
     g = cached_group("psl2", 9)
     assert g.order == 360
-    classes = g.order_p_classes(3)
+    classes = g.order_p_classes()
     assert sorted(size for _rep, size in classes) == [40, 40]
 
 
@@ -30,7 +29,7 @@ def test_psl2_25_order():
 def test_psl3_order_and_classes():
     g = cached_group("psl3", 3)
     assert g.order == 5616
-    sizes = sorted(size for _rep, size in g.order_p_classes(3))
+    sizes = sorted(size for _rep, size in g.order_p_classes())
     assert sizes == [104, 624]
     # must match the shipped character data
     t = psl33_slice()
@@ -77,7 +76,7 @@ def test_class_lists_are_minimal_representatives_in_order(kind, q):
         orbit = g.conjugacy_class(rep)
         assert min(orbit) == rep and len(orbit) == size
     order = dict(zip(g.elements, g.orders()))
-    assert g.order_p_classes(3) == [c for c in partition if order[c[0]] == 3]
+    assert g.order_p_classes() == [c for c in partition if order[c[0]] == 3]
 
 
 @pytest.mark.parametrize("kind,q", GROUPS)
@@ -87,8 +86,7 @@ def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
     inv = {h: next(x for x in g.elements if g.mul(h, x) == g.identity)
            for h in g.generators}
     inv.update({hinv: h for h, hinv in list(inv.items())})
-    p = 3 if kind == "psl3" else round(q ** 0.5)
-    for rep, size in g.order_p_classes(p):
+    for rep, size in g.order_p_classes():
         orbit, frontier = {rep}, [rep]
         while frontier:
             y = frontier.pop()
@@ -176,7 +174,7 @@ def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
         return mul(self, x, y)
 
     monkeypatch.setattr(type(g), "mul", counted)
-    g.order_p_classes(5)
+    g.order_p_classes()
     g.exponent()
     # one walk per element costs 143,626 products here
     assert products <= 15_000
@@ -187,7 +185,7 @@ def test_psl2_49_ground_truth():
     assert g.order == 49 * (49 * 49 - 1) // 2 == 58_800
     assert g.exponent() == lcm(7, 24, 25) == 4200
     # the unipotents split into two classes of (q^2 - 1)/2
-    assert sorted(size for _rep, size in g.order_p_classes(7)) == [1200, 1200]
+    assert sorted(size for _rep, size in g.order_p_classes()) == [1200, 1200]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -196,5 +194,5 @@ def test_square_criterion(p):
 
 
 def test_too_large_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
         PSL2(11)
