@@ -7,8 +7,8 @@ report reproducible.
 
 Square status is a membership test in `Fq.squares`, the set {y*y : y != 0}
 built once per field when the field is made (`fq_make` caches one field per
-p).  No Euler criterion is involved; `Fq.pow` with exponent (q-1)/2 stays
-as the reference the tests compare against.
+p).  No Euler criterion is involved; the tests keep the power with
+exponent (q-1)/2 as the reference they compare against.
 """
 
 from __future__ import annotations
@@ -84,18 +84,6 @@ class Fq:
         n = (a * a - t * b * b) % p
         ninv = pow(n, p - 2, p)
         return ((a * ninv) % p, (-b * ninv) % p)
-
-    def pow(self, x: Elem, k: int) -> Elem:
-        if k < 0:
-            return self.pow(self.inv(x), -k)
-        result = self.one
-        base = x
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
 
     def scalar(self, c: int) -> Elem:
         return (c % self.p, 0)

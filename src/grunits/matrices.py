@@ -41,18 +41,6 @@ class QMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def __pow__(self, k: int) -> "QMatrix":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = QMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def trace(self) -> Fraction:
         return sum(self.rows[i][i] for i in range(self.dim))
 
@@ -107,9 +95,6 @@ class BlockDiag:
                 f"signatures differ: {self.signature} vs {other.signature}"
             )
         return BlockDiag(a * b for a, b in zip(self.blocks, other.blocks))
-
-    def trace(self) -> Fraction:
-        return sum(b.trace() for b in self.blocks)
 
     def is_identity(self) -> bool:
         return all(b.is_identity() for b in self.blocks)

@@ -1,22 +1,27 @@
 """Brute-force ground truth for the groups in scope.
 
-PSL(2,9), PSL(2,25), PSL(2,49) and PSL(3,3) are listed by determinant, not
-by closure under generators: every canonical projective matrix of
-determinant 1 over the finite field, in increasing order.  (The tests keep
-the closure as the reference for that list.)  Orders, exponents and
-conjugacy classes computed here are the oracle against which character
+PSL(2,9), PSL(2,25), PSL(2,49) and PSL(3,3) are listed from their
+definition, not by closure under generators: every canonical projective
+matrix of determinant 1 over the finite field, in increasing order.  (The
+tests keep the closure as the reference for that list.)  Orders, exponents
+and conjugacy classes computed here are the oracle against which character
 slices and the square-class model of the Sylow subgroup are validated.
 
 Each group is one class, `PSL2` or `PSL3`, holding its canonical product,
-identity, generators, closed-form order and the listing `generate`.  An
-element is the flat tuple of its matrix entries: (a0, a1, b0, b1, c0, c1,
-d0, d1) for [[a, b], [c, d]] over F_(p^2), and the row-major 9-tuple over
-F_3.
+identity, generators, closed-form order and the listing `generate`.  A
+PSL(2,p^2) element is the 4-tuple (a, b, c, d) of field codes of
+[[a, b], [c, d]]: F_(p^2) is numbered code(a0 + a1*w) = a0*p + a1, and
+sums, products, negatives and inverses are look-ups in tables built once
+per group from `fq_make(p)`.  Code order is the order of the (a0, a1)
+pairs, so the 4-tuples sort as the flat tuples of matrix entries would.  A
+PSL(3,3) element is the row-major 9-tuple of its entries over F_3.
 
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
-classes read that list.
+classes read that list.  Conjugacy orbits walk a small generating set: the
+unipotents x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the
+3-cycle permutation matrix for PSL(3,3).
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ class GroupOracle:
     A subclass describes one group: `name`, modulus `p`, the closed forms
     `expected_order`, `expected_exponent` and `expected_class_sizes` (of
     the order-p classes, in increasing order), `identity`, `generators`
-    (which the conjugacy orbits walk), the product `mul`, which returns
-    the canonical representative, and `generate`, which lists the group in
-    increasing order.
+    (a generating set, which the conjugacy orbits walk), the product
+    `mul`, which returns the canonical representative, and `generate`,
+    which lists the group in increasing order.
     """
 
     def __init__(self) -> None:
@@ -70,15 +75,14 @@ class GroupOracle:
     def orders(self) -> list[int]:
         """The order of each element, in the order of `elements`."""
         if self._orders is None:
-            index, identity = self._index, self.identity
+            index, identity, mul = self._index, self.identity, self.mul
             orders = [0] * len(self.elements)
             for i, x in enumerate(self.elements):
                 if orders[i]:
                     continue
-                powers = [i]
-                acc = x
+                powers, acc = [i], x
                 while acc != identity:
-                    acc = self.mul(acc, x)
+                    acc = mul(acc, x)
                     powers.append(index[acc])
                 k = len(powers)
                 for j, at in enumerate(powers, 1):
@@ -92,28 +96,29 @@ class GroupOracle:
     def conjugacy_class(self, x) -> set:
         # g^-1 is a power of g, so the generators alone give the whole orbit;
         # it is the last power of g before the identity
-        conjugators = []
+        mul, conjugators = self.mul, []
         for g in self.generators:
             ginv = g
-            while (nxt := self.mul(ginv, g)) != self.identity:
+            while (nxt := mul(ginv, g)) != self.identity:
                 ginv = nxt
             conjugators.append((ginv, g))
-        orbit = {x}
-        frontier = [x]
+        orbit, frontier = {x}, [x]
         while frontier:
             nxt = []
             for y in frontier:
                 for ginv, g in conjugators:
-                    z = self.mul(self.mul(ginv, y), g)
+                    z = mul(mul(ginv, y), g)
                     if z not in orbit:
                         orbit.add(z)
                         nxt.append(z)
             frontier = nxt
         return orbit
 
-    def _classes_of(self, remaining: set) -> list[tuple]:
-        """(minimal representative, class size) for each class in
-        `remaining`, a union of classes that this empties."""
+    def order_p_classes(self) -> list[tuple]:
+        """(minimal representative, class size) for each class of elements
+        whose order is the group's own modulus `p`, in increasing order."""
+        remaining = {x for x, k in zip(self.elements, self.orders())
+                     if k == self.p}
         classes = []
         while remaining:
             rep = min(remaining)
@@ -122,23 +127,10 @@ class GroupOracle:
             remaining -= orbit
         return classes
 
-    def order_p_classes(self) -> list[tuple]:
-        """(representative, class size) for each class of elements whose
-        order is the group's own modulus `p`."""
-        return self._classes_of(
-            {x for x, k in zip(self.elements, self.orders()) if k == self.p})
-
-    def full_class_partition(self) -> list[tuple]:
-        return self._classes_of(set(self.elements))
-
 
 class PSL2(GroupOracle):
-    """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2); entries
-    are a0 + a1*w with w^2 = t, the field's non-residue."""
-
-    identity = (1, 0, 0, 0, 0, 0, 1, 0)
-    generators = [(1, 0, 1, 0, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0, 1, 0),
-                  (1, 0, 0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 1, 1, 0)]
+    """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2), as
+    4-tuples of field codes; of x and -x the smaller is canonical."""
 
     def __init__(self, p: int) -> None:
         super().__init__()
@@ -153,65 +145,65 @@ class PSL2(GroupOracle):
             raise ValueError(f"PSL(2,{q}) exceeds the enumeration cap")
         if not is_prime(p):
             raise ValueError(f"q = {q} is not the square of an odd prime")
-        self.t = fq_make(p).t
+        f = fq_make(p)
+        field = list(f.elements())  # (a0, a1) pairs, in code order
+        code = {e: i for i, e in enumerate(field)}
+        self._prod = [[code[f.mul(x, y)] for y in field] for x in field]
+        self._sum = [[code[f.add(x, y)] for y in field] for x in field]
+        self._neg = [code[f.neg(x)] for x in field]
+        # zero has no inverse; its slot is never read
+        self._inv = [0] + [code[f.inv(x)] for x in field[1:]]
+        one = code[f.one]
+        self.identity = (one, 0, 0, one)
+        # x(1), x(w) and y(1); y(w) is not needed
+        self.generators = [(one, one, 0, one), (one, 1, 0, one),
+                           (one, 0, one, one)]
 
     def mul(self, x, y):
-        p, t = self.p, self.t
-        a0, a1, b0, b1, c0, c1, d0, d1 = x
-        e0, e1, g0, g1, h0, h1, i0, i1 = y
-        return self.canon((
-            (a0 * e0 + b0 * h0 + t * (a1 * e1 + b1 * h1)) % p,
-            (a0 * e1 + a1 * e0 + b0 * h1 + b1 * h0) % p,
-            (a0 * g0 + b0 * i0 + t * (a1 * g1 + b1 * i1)) % p,
-            (a0 * g1 + a1 * g0 + b0 * i1 + b1 * i0) % p,
-            (c0 * e0 + d0 * h0 + t * (c1 * e1 + d1 * h1)) % p,
-            (c0 * e1 + c1 * e0 + d0 * h1 + d1 * h0) % p,
-            (c0 * g0 + d0 * i0 + t * (c1 * g1 + d1 * i1)) % p,
-            (c0 * g1 + c1 * g0 + d0 * i1 + d1 * i0) % p,
-        ))
+        prod, s = self._prod, self._sum
+        a, b, c, d = x
+        e, g, h, i = y
+        pa, pb, pc, pd = prod[a], prod[b], prod[c], prod[d]
+        return self.canon((s[pa[e]][pb[h]], s[pa[g]][pb[i]],
+                           s[pc[e]][pd[h]], s[pc[g]][pd[i]]))
 
     def canon(self, x):
         # the smaller of x and -x: they first differ at the first nonzero
-        # entry v, and x is the smaller when v < p - v
-        p = self.p
-        a0, a1, b0, b1, c0, c1, d0, d1 = x
-        if 2 * (a0 or a1 or b0 or b1 or c0 or c1 or d0 or d1) < p:
+        # entry v, and x is the smaller when v < -v in code order
+        neg = self._neg
+        a, b, c, d = x
+        v = a or b or c or d
+        if v < neg[v]:
             return x
-        return (-a0 % p, -a1 % p, -b0 % p, -b1 % p,
-                -c0 % p, -c1 % p, -d0 % p, -d1 % p)
+        return (neg[a], neg[b], neg[c], neg[d])
 
     def generate(self) -> list[tuple]:
         # A first row (a, b) is nonzero, so it holds the first nonzero entry
-        # v, and the matrix is canonical when 2v < p.  Each such row has q
+        # v, and the matrix is canonical when v < -v.  Each such row has q
         # second rows (c, d) with ad - bc = 1: d = (1 + bc)/a for each c
         # when a != 0, and c = -1/b with d free when a = 0.  Listing c, or
-        # d, in field order keeps the whole list increasing.
-        p, t = self.p, self.t
-        field = list(product(range(p), repeat=2))
+        # d, in code order keeps the whole list increasing.
+        prod, neg, inv = self._prod, self._neg, self._inv
+        plus_one = self._sum[self.identity[0]]
+        codes = range(len(neg))
         out = []
-        for a0, a1, b0, b1 in product(range(p), repeat=4):
-            v = a0 or a1 or b0 or b1
-            if not v or 2 * v >= p:
+        for a, b in product(codes, repeat=2):
+            v = a or b
+            if not v or v > neg[v]:
                 continue
-            if a0 or a1:
-                n = pow(a0 * a0 - t * a1 * a1, -1, p)  # 1 / norm(a)
-                i0, i1 = a0 * n % p, -a1 * n % p  # 1/a
-                for c0, c1 in field:
-                    s0 = 1 + b0 * c0 + t * b1 * c1
-                    s1 = b0 * c1 + b1 * c0
-                    out.append((a0, a1, b0, b1, c0, c1,
-                                (s0 * i0 + t * s1 * i1) % p,
-                                (s0 * i1 + s1 * i0) % p))
+            if a:
+                by_b, over_a = prod[b], prod[inv[a]]
+                out.extend((a, b, c, over_a[plus_one[by_b[c]]])
+                           for c in codes)
             else:
-                n = pow(b0 * b0 - t * b1 * b1, -1, p)
-                c0, c1 = -b0 * n % p, b1 * n % p  # -1/b
-                out.extend((0, 0, b0, b1, c0, c1, d0, d1) for d0, d1 in field)
+                out.extend((0, b, neg[inv[b]], d) for d in codes)
         return out
 
     def unipotent(self, lam) -> tuple:
-        """Canonical representative of the upper unipotent with parameter
-        lam, an element of F_(p^2)."""
-        return self.canon((1, 0, *lam, 0, 0, 1, 0))
+        """The upper unipotent with parameter lam, an (a0, a1) pair of
+        F_(p^2); its first nonzero entry is 1, so it is canonical."""
+        one = self.identity[0]
+        return (one, lam[0] * self.p + lam[1], 0, one)
 
 
 class PSL3(GroupOracle):
@@ -222,9 +214,9 @@ class PSL3(GroupOracle):
     # the regular unipotents
     expected_exponent, expected_class_sizes = 312, [104, 624]
     identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    # the elementary transvections I + E_ij, i != j
-    generators = [tuple(int(k in (0, 4, 8, 3 * i + j)) for k in range(9))
-                  for i in range(3) for j in range(3) if i != j]
+    # I + E_12 and the 3-cycle permutation matrix; their conjugates
+    # I + E_23 and I + E_31 have every other transvection as a commutator
+    generators = [(1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 1, 0, 0)]
 
     def mul(self, x, y):
         a, b, c, d, e, f_, g, h, i = x
@@ -238,13 +230,21 @@ class PSL3(GroupOracle):
             (g * l_ + h * o + i * u) % 3,
         )
 
-    def det_is_one(self, x) -> bool:
-        a, b, c, d, e, f_, g, h, i = x
-        return (a * (e * i - f_ * h) - b * (d * i - f_ * g)
-                + c * (d * h - e * g)) % 3 == 1
-
     def generate(self) -> list[tuple]:
-        return [x for x in product(range(3), repeat=9) if self.det_is_one(x)]
+        # det [r1; r2; r3] = r3 . (r1 x r2), so each pair of first rows takes
+        # the third rows r3 with r3 . n = 1 for n = r1 x r2, none when n = 0;
+        # rows in product order keep the whole list increasing
+        rows = list(product(range(3), repeat=3))
+        thirds = {n: [r for r in rows
+                      if (r[0] * n[0] + r[1] * n[1] + r[2] * n[2]) % 3 == 1]
+                  for n in rows}
+        out = []
+        for r1, r2 in product(rows, repeat=2):
+            (a, b, c), (d, e, f_) = r1, r2
+            n = ((b * f_ - c * e) % 3, (c * d - a * f_) % 3,
+                 (a * e - b * d) % 3)
+            out.extend(r1 + r2 + r3 for r3 in thirds[n])
+        return out
 
 
 # -- construction -------------------------------------------------------------
@@ -288,13 +288,13 @@ def check_square_criterion(p: int) -> bool:
     mu0 = next(e for e in nonzero if not f.is_square(e))
     c1 = group.conjugacy_class(group.unipotent(f.one))
     ct = group.conjugacy_class(group.unipotent(mu0))
+    in_c1 = {lam: group.unipotent(lam) in c1 for lam in nonzero}
     for lam in nonzero:
-        u = group.unipotent(lam)
-        if (u in c1) == (u in ct):
+        if in_c1[lam] == (group.unipotent(lam) in ct):
             return False  # unipotents must split into exactly these two classes
     for lam in nonzero:
         for mu in nonzero:
-            same = (group.unipotent(lam) in c1) == (group.unipotent(mu) in c1)
+            same = in_c1[lam] == in_c1[mu]
             if same != f.is_square(f.mul(mu, f.inv(lam))):
                 return False
     return True

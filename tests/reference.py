@@ -8,8 +8,12 @@ computed verbatim over Q(zeta_p), and :func:`_check_flags` is the
 row-by-row kernel test on a 0/1 flag list.  The scan in
 `grunits.helpengine` uses neither: it works from the closed form on bit
 masks, and the tests pin it against these.  :func:`closure` finds a
-group by breadth-first closure under its transvection generators; the
-oracle lists it from its definition instead, and is pinned against this.
+group by breadth-first closure under its generators; the oracle lists it
+from its definition instead, and is pinned against this.
+:func:`full_class_partition` splits a whole oracle group into conjugacy
+classes.  :func:`fq_pow` (the Euler criterion's power), :func:`matrix_pow`
+and :func:`block_trace` are the square-and-multiply powers and the block
+trace that no command needs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from fractions import Fraction
 from grunits.chardata import CharSlice
 from grunits.cyclotomic import Cyclotomic, cyclo
 from grunits.helpengine import Point
+from grunits.matrices import BlockDiag, QMatrix
 
 
 class UnassignedClass(Exception):
@@ -99,3 +104,42 @@ def closure(group) -> list[tuple]:
                     nxt.append(y)
         frontier = nxt
     return sorted(seen)
+
+
+def full_class_partition(group) -> list[tuple]:
+    """(minimal representative, class size) for every conjugacy class of
+    an enumerated oracle group, in increasing order of representative."""
+    remaining, classes = set(group.elements), []
+    while remaining:
+        rep = min(remaining)
+        orbit = group.conjugacy_class(rep)
+        classes.append((rep, len(orbit)))
+        remaining -= orbit
+    return classes
+
+
+def fq_pow(f, x, k: int):
+    """x^k in the field f, for k >= 0, by square and multiply."""
+    result, base = f.one, x
+    while k:
+        if k & 1:
+            result = f.mul(result, base)
+        base = f.mul(base, base)
+        k >>= 1
+    return result
+
+
+def matrix_pow(m: QMatrix, k: int) -> QMatrix:
+    """m^k for k >= 0, by square and multiply."""
+    result, base = QMatrix.identity(m.dim), m
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def block_trace(b: BlockDiag) -> Fraction:
+    """The trace of a block diagonal: the sum of its blocks' traces."""
+    return sum(block.trace() for block in b.blocks)

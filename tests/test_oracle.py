@@ -12,7 +12,7 @@ from grunits.oracle import (
     check_square_criterion,
     enumerate_group,
 )
-from reference import closure
+from reference import closure, full_class_partition
 
 
 def test_psl2_9_order_and_classes():
@@ -38,7 +38,7 @@ def test_psl3_order_and_classes():
 
 def test_full_partition_psl2_9():
     g = cached_group("psl2", 9)
-    partition = g.full_class_partition()
+    partition = full_class_partition(g)
     # the classes of A_6
     assert sorted(size for _rep, size in partition) == [1, 40, 40, 45, 72, 72, 90]
 
@@ -69,7 +69,7 @@ def test_orders_match_element_order(kind, q):
 @pytest.mark.parametrize("kind,q", GROUPS[:2])
 def test_class_lists_are_minimal_representatives_in_order(kind, q):
     g = cached_group(kind, q)
-    partition = g.full_class_partition()
+    partition = full_class_partition(g)
     reps = [rep for rep, _size in partition]
     assert reps == sorted(reps)
     for rep, size in partition:
@@ -99,22 +99,19 @@ def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
         assert len(orbit) == size
 
 
-def _random_flat_matrix(rng, p):
-    return tuple(rng.randrange(p) for _ in range(8))
-
-
-def _pairs(x):
-    return tuple(x[i:i + 2] for i in range(0, 8, 2))
-
-
-def _flat(x):
-    return tuple(v for entry in x for v in entry)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_psl2_product_and_canon_match_field_arithmetic(p):
+    # the code tables against Fq arithmetic, through code(a0 + a1*w) =
+    # a0*p + a1; the canonical choice is the smaller of x and -x as tuples
+    # of (a0, a1) pairs
     f = fq_make(p)
     group = PSL2(p)
+
+    def decode(x):
+        return tuple(divmod(c, p) for c in x)
+
+    def encode(x):
+        return tuple(a0 * p + a1 for a0, a1 in x)
 
     def field_mul(x, y):
         a, b, c, d = x
@@ -134,15 +131,27 @@ def test_psl2_product_and_canon_match_field_arithmetic(p):
         pairs = [(x, y) for x in elements for y in elements]
     else:
         rng = random.Random(p)
-        pairs = [(_random_flat_matrix(rng, p), _random_flat_matrix(rng, p))
-                 for _ in range(5000)]
+        pairs = [tuple(tuple(rng.randrange(p * p) for _ in range(4))
+                       for _ in range(2)) for _ in range(5000)]
     for x, y in pairs:
-        xy = field_mul(_pairs(x), _pairs(y))
-        want = _flat(field_canon(xy))
+        xy = field_mul(decode(x), decode(y))
+        want = encode(field_canon(xy))
         assert group.mul(x, y) == want
-        assert group.canon(_flat(xy)) == want
-    assert all(group.canon(x) == _flat(field_canon(_pairs(x)))
+        assert group.canon(encode(xy)) == want
+    assert all(group.canon(x) == encode(field_canon(decode(x)))
                for x, _y in pairs)
+
+
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_psl2_listing_decodes_to_increasing_flat_tuples(q):
+    # code order is pair order: decoded to flat tuples of matrix entries
+    # (a0, a1, b0, b1, c0, c1, d0, d1), the listing is still increasing,
+    # and each entry is the smaller of x and -x (first nonzero v < p - v)
+    p = isqrt(q)
+    flat = [tuple(v for c in x for v in divmod(c, p))
+            for x in cached_group("psl2", q).elements]
+    assert all(x < y for x, y in zip(flat, flat[1:]))
+    assert all(2 * next(v for v in x if v) < p for x in flat)
 
 
 def test_psl3_product_matches_index_loop():
