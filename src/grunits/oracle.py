@@ -21,7 +21,9 @@ x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
 classes read that list.  Conjugacy orbits walk a small generating set: the
 unipotents x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the
-3-cycle permutation matrix for PSL(3,3).
+3-cycle permutation matrix for PSL(3,3).  Every power walk stops after the
+group order steps: a faulty product raises an AssertionError naming the
+element instead of looping for ever.
 """
 
 from __future__ import annotations
@@ -63,27 +65,42 @@ class GroupOracle:
     def order(self) -> int:
         return len(self.elements)
 
+    def _no_identity(self, x) -> AssertionError:
+        # the powers of x leave the group or outlast its order: `mul` is at
+        # fault, and a walk without this bound would never end
+        return AssertionError(f"{self.name}: the powers of {x} miss the "
+                              f"identity within the group order "
+                              f"{self.expected_order}")
+
     def element_order(self, x) -> int:
         """The order of x by multiplying until the identity; the reference
         for `orders`."""
-        k, acc = 1, x
-        while acc != self.identity:
+        acc = x
+        for k in range(1, self.expected_order + 1):
+            if acc == self.identity:
+                return k
             acc = self.mul(acc, x)
-            k += 1
-        return k
+        raise self._no_identity(x)
 
     def orders(self) -> list[int]:
         """The order of each element, in the order of `elements`."""
         if self._orders is None:
             index, identity, mul = self._index, self.identity, self.mul
-            orders = [0] * len(self.elements)
+            orders, steps = [0] * len(self.elements), range(self.expected_order)
             for i, x in enumerate(self.elements):
                 if orders[i]:
                     continue
                 powers, acc = [i], x
-                while acc != identity:
-                    acc = mul(acc, x)
-                    powers.append(index[acc])
+                try:
+                    for _ in steps:
+                        if acc == identity:
+                            break
+                        acc = mul(acc, x)
+                        powers.append(index[acc])
+                    else:
+                        raise self._no_identity(x)
+                except KeyError:  # a power left the listing
+                    raise self._no_identity(x) from None
                 k = len(powers)
                 for j, at in enumerate(powers, 1):
                     orders[at] = k // gcd(j, k)
@@ -99,8 +116,12 @@ class GroupOracle:
         mul, conjugators = self.mul, []
         for g in self.generators:
             ginv = g
-            while (nxt := mul(ginv, g)) != self.identity:
+            for _ in range(self.expected_order):
+                if (nxt := mul(ginv, g)) == self.identity:
+                    break
                 ginv = nxt
+            else:
+                raise self._no_identity(g)
             conjugators.append((ginv, g))
         orbit, frontier = {x}, [x]
         while frontier:

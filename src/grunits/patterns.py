@@ -7,9 +7,9 @@ in the enumerated group for small p).  A pair (g, h) with g of square and
 h of non-square parameter realizes the pattern {i : g + i*h has square
 parameter}.  Square scaling leaves the pattern invariant, so g may be
 normalized to 1; the full (lambda, mu) enumeration is kept as an internal
-cross-check, read one line lambda + F_p*mu at a time (O(p^4) square
-look-ups).  p is capped at MAX_PRIME, the largest prime at which the test
-suite checks the pattern count (p^2-1)/4.
+cross-check, which reads each line of F_(p^2) once per slope class of
+directions, not once per direction (O(p^3) square look-ups).  p is capped
+at MAX_PRIME, the largest prime at which the tests check the count.
 """
 
 from __future__ import annotations
@@ -26,39 +26,42 @@ MAX_MISSING = 4096
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:
     """{i in 1..p-1 : lam + i*mu is a square}, read off `f.squares`."""
-    p, squares = f.p, f.squares
-    a, b = lam
-    c, d = mu
-    return frozenset(
-        i for i in range(1, p)
-        if ((a + i * c) % p, (b + i * d) % p) in squares
-    )
+    (a, b), (c, d), p, squares = lam, mu, f.p, f.squares
+    return frozenset(i for i in range(1, p)
+                     if ((a + i * c) % p, (b + i * d) % p) in squares)
 
 
 def _all_pair_patterns(f, nonsquares) -> set[frozenset[int]]:
-    """{_pattern_of(f, lam, mu)} over every square lam and non-square mu,
-    one line lam + F_p*mu at a time.
-
-    A non-square mu = (c, d) has d != 0, because every element of F_p is a
-    square in F_(p^2); so each line with direction mu meets F_p in a single
-    point (a, 0), and j -> (a, 0) + j*mu walks it.  Bit j of `line` says
-    whether that point is a square.  For the square lam = (a, 0) + j*mu,
-    lam + i*mu is point j + i, so the pattern is `line` rotated right by j
-    with bit 0 (lam itself) cleared.  Patterns stay bit masks until the
-    distinct ones are turned into sets.
-    """
+    """{_pattern_of(f, lam, mu)} over every square lam and listed mu, one
+    slope class at a time: mu = (c, d) is k*m for k = d, m = (c/d, 1), or
+    k = c, m = (1, 0) if d = 0; the mu of one m = (s, t) share the lines
+    (a*t, a - a*t) + F_p*m.  Bit y of `line` says whether point y is a
+    square; the square there has pattern `line` rotated right by y, bit 0
+    cleared, against m, and k^-1 times it against k*m, expanded once per
+    orbit when the k of m are closed under products."""
     p, squares = f.p, f.squares
     keep = (1 << p) - 2  # bits 1 .. p-1
-    masks = set()
+    inverse = {x: y for x in range(1, p) for y in range(1, p) if x * y % p == 1}
+    scales = {}  # m -> the k with k*m listed
     for c, d in nonsquares:
+        scales.setdefault((c * inverse[d or c] % p, d and 1), set()).add(d or c)
+    rotated = {}  # a set of k -> the patterns against every m it scales
+    for (s, t), ks in scales.items():
+        masks = rotated.setdefault(frozenset(ks), set())
         for a in range(p):
-            line = sum(1 << j for j in range(p)
-                       if ((a + j * c) % p, j * d % p) in squares)
-            for j in range(p):
-                if line >> j & 1:
-                    masks.add(((line >> j) | (line << (p - j))) & keep)
-    return {frozenset(i for i in range(1, p) if mask >> i & 1)
-            for mask in masks}
+            line = sum(1 << y for y in range(p) if
+                       ((a * t + y * s) % p, (a - a * t + y * t) % p) in squares)
+            masks.update(((line >> y) | (line << (p - y))) & keep
+                         for y in range(p) if line >> y & 1)
+    out = set()
+    for ks, masks in rotated.items():
+        closed, orbits = all(a * b % p in ks for a in ks for b in ks), set()
+        for mask in masks:
+            pattern = frozenset(i for i in range(1, p) if mask >> i & 1)
+            if not (closed and pattern in orbits):
+                orbits.update(frozenset(i * inverse[k] % p for i in pattern) for k in ks)
+        out |= orbits
+    return out
 
 
 def group_patterns(p: int) -> set[frozenset[int]]:
@@ -74,16 +77,14 @@ def group_patterns(p: int) -> set[frozenset[int]]:
 
 
 def balanced_patterns(p: int) -> list[frozenset[int]]:
-    half = (p - 1) // 2
-    return [frozenset(c) for c in combinations(range(1, p), half)]
+    return [frozenset(c) for c in combinations(range(1, p), (p - 1) // 2)]
 
 
 def gap_report(p: int, list_missing: bool) -> dict:
     """Count balanced patterns against realizable ones and certify any gap;
     with `list_missing`, list the balanced patterns no pair realizes."""
     realizable = group_patterns(p)  # first, as it rejects p above the cap
-    half = (p - 1) // 2
-    n_balanced = comb(p - 1, half)
+    n_balanced = comb(p - 1, (p - 1) // 2)
     if list_missing and n_balanced > MAX_MISSING:
         raise ValueError(f"--list-missing lists at most {MAX_MISSING} "
                          f"balanced patterns, and there are {n_balanced}")
@@ -98,6 +99,5 @@ def gap_report(p: int, list_missing: bool) -> dict:
     }
     if list_missing:
         report["missing"] = sorted(
-            sorted(s) for s in set(balanced_patterns(p)) - realizable
-        )
+            sorted(s) for s in set(balanced_patterns(p)) - realizable)
     return report

@@ -13,7 +13,9 @@ from its definition instead, and is pinned against this.
 :func:`full_class_partition` splits a whole oracle group into conjugacy
 classes.  :func:`fq_pow` (the Euler criterion's power), :func:`matrix_pow`
 and :func:`block_trace` are the square-and-multiply powers and the block
-trace that no command needs.
+trace that no command needs.  :func:`direction_line_patterns` is the
+pattern cross-check walked once per direction, which the slope-class walk
+in `grunits.patterns` is pinned against.
 """
 
 from __future__ import annotations
@@ -143,3 +145,28 @@ def matrix_pow(m: QMatrix, k: int) -> QMatrix:
 def block_trace(b: BlockDiag) -> Fraction:
     """The trace of a block diagonal: the sum of its blocks' traces."""
     return sum(block.trace() for block in b.blocks)
+
+
+def direction_line_patterns(f, nonsquares) -> set[frozenset[int]]:
+    """{pattern(lam, mu)} over every square lam and non-square mu, one line
+    lam + F_p*mu at a time, for every listed mu in turn: O(p^4) look-ups.
+
+    A non-square mu = (c, d) has d != 0, because every element of F_p is a
+    square in F_(p^2); so each line with direction mu meets F_p in a single
+    point (a, 0), and j -> (a, 0) + j*mu walks it.  Bit j of `line` says
+    whether that point is a square.  For the square lam = (a, 0) + j*mu,
+    lam + i*mu is point j + i, so the pattern is `line` rotated right by j
+    with bit 0 (lam itself) cleared.
+    """
+    p, squares = f.p, f.squares
+    keep = (1 << p) - 2  # bits 1 .. p-1
+    masks = set()
+    for c, d in nonsquares:
+        for a in range(p):
+            line = sum(1 << j for j in range(p)
+                       if ((a + j * c) % p, j * d % p) in squares)
+            for j in range(p):
+                if line >> j & 1:
+                    masks.add(((line >> j) | (line << (p - j))) & keep)
+    return {frozenset(i for i in range(1, p) if mask >> i & 1)
+            for mask in masks}

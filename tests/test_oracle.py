@@ -1,4 +1,6 @@
 import random
+import re
+import signal
 from math import isqrt, lcm
 
 import pytest
@@ -187,6 +189,52 @@ def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
     g.exponent()
     # one walk per element costs 143,626 products here
     assert products <= 15_000
+
+
+@pytest.fixture
+def alarm():
+    # a walk without its bound never returns; the alarm turns that into a
+    # failure after five seconds
+    def expire(signum, frame):
+        raise TimeoutError("the walk did not stop within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _psl2_9_with_canon_flipped():
+    # with canon's sign choice flipped a power lands on -1, never on the
+    # canonical identity, and leaves the listing
+    g = PSL2(3).enumerate()
+    neg = g._neg
+
+    def flipped(x):
+        a, b, c, d = x
+        v = a or b or c or d
+        return x if v > neg[v] else (neg[a], neg[b], neg[c], neg[d])
+
+    g.canon = flipped
+    return g
+
+
+@pytest.mark.parametrize("walk", ["element_order", "conjugacy_class"])
+def test_a_faulty_canon_fails_the_walk_from_a_generator(alarm, walk):
+    g = _psl2_9_with_canon_flipped()
+    x = g.generators[0]
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"PSL(2,9): the powers of {x} miss")):
+        getattr(g, walk)(x)
+
+
+def test_a_faulty_canon_fails_the_order_walks(alarm):
+    g = _psl2_9_with_canon_flipped()
+    first = g.elements[0]
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"PSL(2,9): the powers of {first} miss")):
+        g.orders()
 
 
 def test_psl2_49_ground_truth():

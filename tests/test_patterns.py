@@ -11,7 +11,7 @@ from grunits.patterns import (
     gap_report,
     group_patterns,
 )
-from reference import fq_pow
+from reference import direction_line_patterns, fq_pow
 
 
 def _euler_is_square(f, x):
@@ -67,6 +67,53 @@ def test_line_walk_matches_every_pair(p):
     nonsquares = [e for e in nonzero if e not in f.squares]
     assert _all_pair_patterns(f, nonsquares) == {
         _pattern_of(f, lam, mu) for lam in squares for mu in nonsquares}
+
+
+def _split(f):
+    nonzero = [e for e in f.elements() if e != f.zero]
+    return ([e for e in nonzero if e in f.squares],
+            [e for e in nonzero if e not in f.squares])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_slope_classes_match_the_direction_walk(p):
+    f = fq_make(p)
+    _, nonsquares = _split(f)
+    assert _all_pair_patterns(f, nonsquares) == direction_line_patterns(
+        f, nonsquares)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_slope_classes_match_every_pair_on_a_table_missing_a_square(p):
+    # at p = 3 (mod 4) every (0, y) is a square; dropping one lists it as a
+    # non-square with d = y, and its slope class no longer holds every
+    # scale.  Dropping (2, 0) lists a non-square with d = 0.
+    for dropped in [(0, y) for y in range(1, p)] + [(2, 0)]:
+        broken = Fq(p)
+        broken.squares = broken.squares - {dropped}
+        squares, nonsquares = _split(broken)
+        assert len(squares) == (p * p - 1) // 2 - 1
+        assert _all_pair_patterns(broken, nonsquares) == {
+            _pattern_of(broken, lam, mu)
+            for lam in squares for mu in nonsquares}
+
+
+class _CountingSquares(frozenset):
+    def __contains__(self, x):
+        self.reads += 1
+        return super().__contains__(x)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_cross_check_reads_each_line_once(p):
+    # p lines of p points for each of the (p+1)/2 non-square slopes, where
+    # the walk per direction read them once for each of (p^2-1)/2 directions
+    f = Fq(p)
+    _, nonsquares = _split(f)
+    f.squares = _CountingSquares(f.squares)
+    f.squares.reads = 0
+    _all_pair_patterns(f, nonsquares)
+    assert f.squares.reads == (p + 1) // 2 * p * p
 
 
 def test_broken_square_table_fails_the_cross_check(monkeypatch):
