@@ -11,15 +11,27 @@ wall_clock_s, which callers comparing reports should drop.  Exit codes:
 witness is printed), or the reader closed stdout before the report was
 written (`| head`; nothing is printed), 2 usage error, missing data file
 or a --json PATH that cannot be written.
+
+The grammar is declared once, in `_COMMANDS`: each subcommand's help text,
+handler and options, as the keyword arguments of argparse's
+`add_argument`.  `main` first tries `_parse_exact`, which reads the same
+table and takes only the exact spelling: the command name, then its own
+`--option VALUE` pairs and flags spelled in full (plus `construct`'s one
+positional), each value through `int()` or its choices, every required
+option present.  Anything else (`-h`, an abbreviation, `--opt=value`, a
+value starting with `-`, an unknown or missing token) goes to
+`build_parser().parse_args`, so argparse alone writes help and error
+text, and a well-formed command never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
+from typing import NoReturn
 
 from .chardata import (
     TableSlice,
@@ -43,9 +55,14 @@ from .patterns import gap_report, group_patterns
 
 def _emit(report: dict, json_path: str | None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if json_path is not None:
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # a failed write or close names no file
+            exc.filename = json_path
+            raise
     print(f"[{report['command']}] ok={report['ok']}")
     if not report["ok"]:
         witnesses = report["result"].get("witnesses") or report["result"].get(
@@ -53,50 +70,55 @@ def _emit(report: dict, json_path: str | None) -> int:
         )
         if witnesses:
             print("witness:", json.dumps(witnesses[:3]))
-    if not json_path:
+    if json_path is None:
         print(text)
     return 0 if report["ok"] else 1
 
 
-def _parse_pattern(text: str, parser) -> set[int]:
+def _usage_error(message: str) -> NoReturn:
+    build_parser().error(message)
+
+
+def _parse_pattern(text: str) -> set[int]:
     try:
         entries = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        parser.error(f"bad --pattern {text!r}: expected comma-separated integers")
+        _usage_error(
+            f"bad --pattern {text!r}: expected comma-separated integers")
     members: set[int] = set()
     for entry in entries:
         if entry in members:
-            parser.error(f"bad --pattern {text!r}: repeated entry {entry}")
+            _usage_error(f"bad --pattern {text!r}: repeated entry {entry}")
         members.add(entry)
     return members
 
 
-def _reject_unused(flag: str, value, parser, scope="--group psl2") -> None:
+def _reject_unused(flag: str, value, scope="--group psl2") -> None:
     if value is not None:
-        parser.error(f"{flag} {value}: {flag} applies only to {scope}")
+        _usage_error(f"{flag} {value}: {flag} applies only to {scope}")
 
 
-def _table(args, parser) -> TableSlice:
+def _table(args) -> TableSlice:
     if args.group == "psl33":
-        _reject_unused("--p", args.p, parser)
+        _reject_unused("--p", args.p)
         return psl33_slice()
     if args.p is None:
-        parser.error("--p is required with --group psl2")
+        _usage_error("--p is required with --group psl2")
     try:
         return psl2_slice(args.p)
     except ValueError as exc:
-        parser.error(f"--p {args.p}: {exc}")
+        _usage_error(f"--p {args.p}: {exc}")
 
 
-def cmd_chartab(args, parser):
-    table = _table(args, parser)
+def cmd_chartab(args):
+    table = _table(args)
     ortho = validate_orthogonality(table)
     result = {"table": table.to_json(), "orthogonality": ortho}
     return {"group": args.group, "p": args.p}, result, ortho["ok"]
 
 
-def cmd_help_scan(args, parser):
-    table = _table(args, parser)
+def cmd_help_scan(args):
+    table = _table(args)
     if args.group == "psl33":
         p, n, support, expected = 3, 3, ("a", "b"), []
     else:
@@ -108,20 +130,20 @@ def cmd_help_scan(args, parser):
             result["feasible"] == expected)
 
 
-def cmd_construct(args, parser):
+def cmd_construct(args):
     if args.kind == "psl33":
-        _reject_unused("--p", args.p, parser, "construct psl2")
-        _reject_unused("--pattern", args.pattern, parser, "construct psl2")
+        _reject_unused("--p", args.p, "construct psl2")
+        _reject_unused("--pattern", args.pattern, "construct psl2")
         ug = build_psl33_units()
         params = {"kind": "psl33"}
     else:
         if args.p is None or args.pattern is None:
-            parser.error("construct psl2 requires --p and --pattern")
-        members = _parse_pattern(args.pattern, parser)
+            _usage_error("construct psl2 requires --p and --pattern")
+        members = _parse_pattern(args.pattern)
         try:
             ug = build_psl2_units(args.p, members)
         except ValueError as exc:
-            parser.error(str(exc))
+            _usage_error(str(exc))
         params = {"kind": "psl2", "p": args.p, "pattern": sorted(members)}
     result = verify_unit_group(ug)
     if not result["ok"]:
@@ -137,25 +159,25 @@ def cmd_construct(args, parser):
     return params, result, True
 
 
-def cmd_patterns(args, parser):
+def cmd_patterns(args):
     try:
         result = gap_report(args.p, args.list_missing)
     except ValueError as exc:
-        parser.error(f"--p {args.p}: {exc}")
+        _usage_error(f"--p {args.p}: {exc}")
     return {"p": args.p, "list_missing": args.list_missing}, result, True
 
 
-def cmd_oracle(args, parser):
+def cmd_oracle(args):
     if args.group == "psl3":
-        _reject_unused("--q", args.q, parser)
+        _reject_unused("--q", args.q)
         group = enumerate_group("psl3", 3)
     else:
         if args.q is None:
-            parser.error("--q is required with --group psl2")
+            _usage_error("--q is required with --group psl2")
         try:
             group = enumerate_group("psl2", args.q)
         except ValueError as exc:
-            parser.error(f"--q {args.q}: {exc}")
+            _usage_error(f"--q {args.q}: {exc}")
     result = {"group": group.name, "order": group.order}
     # each fact against its closed form; the power walks below look every
     # power up in the list, so they run only on a whole group
@@ -195,68 +217,114 @@ def _invariant_checks() -> list[dict]:
     return [{"check": name, "ok": bool(ok)} for name, ok in checks]
 
 
-def cmd_invariants(args, parser):
+def cmd_invariants(args):
     verdicts = _invariant_checks()
     for v in verdicts:
         print(f"  {'PASS' if v['ok'] else 'FAIL'}  {v['check']}")
     return {}, {"checks": verdicts}, all(v["ok"] for v in verdicts)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH",
-                        help="write the full JSON report to PATH")
+_COMMON = {"--json": {"metavar": "PATH",
+                      "help": "write the full JSON report to PATH"}}
+_GROUP = {"choices": ["psl2", "psl33"], "required": True}
+_INT = {"type": int}
+_FLAG = {"action": "store_true"}
+
+# command -> (help, handler, {option: keyword arguments of add_argument})
+_COMMANDS = {
+    "chartab": ("character-table slice", cmd_chartab,
+                {**_COMMON, "--group": _GROUP, "--p": _INT}),
+    "help-scan": ("HeLP feasibility scan", cmd_help_scan,
+                  {**_COMMON, "--group": _GROUP, "--p": _INT}),
+    "construct": ("build and verify unit subgroups", cmd_construct,
+                  {**_COMMON, "kind": {"choices": ["psl2", "psl33"]},
+                   "--p": _INT, "--pattern": {"metavar": "a,b,c"},
+                   "--verify": _FLAG}),
+    "patterns": ("balanced vs realizable patterns", cmd_patterns,
+                 {**_COMMON, "--p": {**_INT, "required": True},
+                  "--list-missing": _FLAG}),
+    "oracle": ("brute-force group enumeration", cmd_oracle,
+               {**_COMMON,
+                "--group": {"choices": ["psl2", "psl3"], "required": True},
+                "--q": _INT,
+                "--refresh": {**_FLAG,
+                              "help": "no effect; there is no cache"}}),
+    "invariants": ("cross-module coherence gate", cmd_invariants, _COMMON),
+}
+
+
+def build_parser():
+    """The argparse parser for `_COMMANDS`: help, usage errors and every
+    argv that `_parse_exact` refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="grunits",
         description="Exact analyses of p-subgroups of units in rational "
         "group algebras of PSL(2,p^2) and PSL(3,3).",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(*a, **kw):
-        return sub.add_parser(*a, parents=[common], **kw)
-
-    p_chartab = add("chartab", help="character-table slice")
-    p_chartab.add_argument("--group", choices=["psl2", "psl33"], required=True)
-    p_chartab.add_argument("--p", type=int, default=None)
-    p_chartab.set_defaults(func=cmd_chartab)
-
-    p_scan = add("help-scan", help="HeLP feasibility scan")
-    p_scan.add_argument("--group", choices=["psl2", "psl33"], required=True)
-    p_scan.add_argument("--p", type=int, default=None)
-    p_scan.set_defaults(func=cmd_help_scan)
-
-    p_con = add("construct", help="build and verify unit subgroups")
-    p_con.add_argument("kind", choices=["psl2", "psl33"])
-    p_con.add_argument("--p", type=int, default=None)
-    p_con.add_argument("--pattern", metavar="a,b,c", default=None)
-    p_con.add_argument("--verify", action="store_true")
-    p_con.set_defaults(func=cmd_construct)
-
-    p_pat = add("patterns", help="balanced vs realizable patterns")
-    p_pat.add_argument("--p", type=int, required=True)
-    p_pat.add_argument("--list-missing", action="store_true")
-    p_pat.set_defaults(func=cmd_patterns)
-
-    p_or = add("oracle", help="brute-force group enumeration")
-    p_or.add_argument("--group", choices=["psl2", "psl3"], required=True)
-    p_or.add_argument("--q", type=int, default=None)
-    p_or.add_argument("--refresh", action="store_true",
-                      help="no effect; there is no cache")
-    p_or.set_defaults(func=cmd_oracle)
-
-    p_inv = add("invariants", help="cross-module coherence gate")
-    p_inv.set_defaults(func=cmd_invariants)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in options.items():
+            command.add_argument(option, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, when argv
+    is a command name followed by its own options spelled in full, each
+    valued one with a value not starting with `-`; None for anything else,
+    including every argv that argparse would reject."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _help, func, options = _COMMANDS[argv[0]]
+    values = {option: False if "action" in kwargs else None
+              for option, kwargs in options.items()}
+    positionals = [option for option in options if option[0] != "-"]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            option, kwargs = token, options.get(token)
+            if kwargs is None:
+                return None
+            if "action" in kwargs:
+                values[option] = True
+                continue
+            token = next(tokens, "-")  # a missing value fails as a dash does
+            if token.startswith("-"):
+                return None
+        elif positionals:
+            option = positionals.pop()
+            kwargs = options[option]
+        else:
+            return None
+        if "type" in kwargs:
+            try:
+                token = kwargs["type"](token)
+            except ValueError:
+                return None
+        if "choices" in kwargs and token not in kwargs["choices"]:
+            return None
+        values[option] = token
+    if positionals or any(kwargs.get("required") and values[option] is None
+                          for option, kwargs in options.items()):
+        return None
+    return SimpleNamespace(cmd=argv[0], func=func, **{
+        option.lstrip("-").replace("-", "_"): value
+        for option, value in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_exact(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        params, result, ok = args.func(args, parser)
+        params, result, ok = args.func(args)
         wall_clock_s = round(time.monotonic() - t0, 3)
         code = _emit({"command": args.cmd, "params": params, "result": result,
                       "ok": ok, "wall_clock_s": wall_clock_s}, args.json)

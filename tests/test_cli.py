@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from conftest import PSL33_DAMAGES
 import grunits
 from grunits import constructions
 from grunits.chardata import data_dir
-from grunits.cli import main
+from grunits.cli import _COMMANDS, _parse_exact, build_parser, main
 from grunits.oracle import PSL2
 
 
@@ -96,16 +97,85 @@ def test_construct_without_verify_reports_a_failed_verdict(
             assert len(_load(out)["result"]["elements"]) == count
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # nor argparse, before or after a well-formed command: only help and
+    # usage errors build the argparse parser
     src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, grunits.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import sys, grunits.cli\n"
+         "def loaded():\n"
+         "    print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect',"
+         " 'locale'} & set(sys.modules)))\n"
+         "loaded(); grunits.cli.main(sys.argv[1:]); loaded()",
+         "patterns", "--p", "3", "--json", str(tmp_path / "r.json")],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[patterns] ok=True", "[]"]
+
+
+def _argparse_vars(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return "usage error"
+
+
+def test_exact_parse_takes_every_benchmark_argv():
+    # every command the benchmark generates must skip argparse, with the
+    # --json PATH its child process appends and without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, random, sys; "
+         "sys.path[:0] = sys.argv[1:]; import run; "
+         "print(json.dumps(sorted({op.argv for seed in range(40) "
+         "for workload in run.WORKLOADS.values() "
+         "for phase in workload(random.Random(seed)) for op in phase})))",
+         os.path.join(os.path.dirname(src), "perfbench")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    argvs = json.loads(proc.stdout)
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    parser = build_parser()
+    for argv in argvs:
+        for full in (argv, argv + ["--json", "r.json"]):
+            args = _parse_exact(full)
+            assert args is not None, full
+            assert vars(args) == _argparse_vars(parser, full)
+
+
+# what follows a command name: options of every command, abbreviations and
+# --opt=value spellings (argparse takes them), help, "--", dash-led and
+# empty values, bad integers and choices; the pairs let three items
+# repeat an option
+EXACT_PARSE_ALPHABET = [
+    "psl2", "psl33", "psl3", "psl9", "7", " 7", "-9", "x7", "", "1,2,4",
+    "--group", "--gr", "--group=psl2", "--p", "--pa", "--p=7",
+    "--q", "--q=9", "--pattern", "--pat", "--verify", "--ver",
+    "--list-missing", "--list_missing", "--list", "--refresh", "--ref",
+    "--json", "--js", "--json=r.json", "-h", "--help", "--", "-", "--bogus",
+    ("--p", "11"), ("--group", "psl33"), ("--q", "25"), ("--json", ""),
+]
+
+
+def test_exact_parse_agrees_with_argparse():
+    parser = build_parser()
+    assert _parse_exact([]) is None
+    accepted = 0
+    for command in _COMMANDS:
+        for length in range(4):
+            for items in itertools.product(EXACT_PARSE_ALPHABET,
+                                           repeat=length):
+                argv = [command]
+                for item in items:
+                    argv += [item] if isinstance(item, str) else item
+                args = _parse_exact(argv)
+                if args is not None:
+                    accepted += 1
+                    assert vars(args) == _argparse_vars(parser, argv), argv
+    assert accepted > 300
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -401,6 +471,20 @@ def test_unusable_json_path_is_an_error(tmp_path, capsys):
                  "--json", str(missing)]) == 2
     assert capsys.readouterr().err == (
         f"grunits: error: {missing}: No such file or directory\n")
+    # an empty path is a path that cannot be opened, not "no --json"
+    assert main(["chartab", "--group", "psl33", "--json", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "grunits: error: : No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_json_write_names_the_path(capsys):
+    # open succeeds and the write fails at close, where the OS error carries
+    # no file name
+    assert main(["patterns", "--p", "7", "--json", "/dev/full"]) == 2
+    assert capsys.readouterr().err == (
+        "grunits: error: /dev/full: No space left on device\n")
 
 
 @pytest.mark.parametrize("buffering", [1, -1])
