@@ -341,13 +341,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # a missing input is named as such; --json PATH gets the OS reason
+        # a missing input is named as such; --json PATH gets the OS reason,
+        # and so does stdout, whose failed write or flush names no file
         if isinstance(exc, FileNotFoundError) and exc.filename != args.json:
             print(f"grunits: error: missing file {exc.filename}",
                   file=sys.stderr)
         else:
-            print(f"grunits: error: {exc.filename}: {exc.strerror}",
-                  file=sys.stderr)
+            name = "stdout" if exc.filename is None else exc.filename
+            print(f"grunits: error: {name}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -12,18 +12,20 @@ identity, generators, closed-form order and the listing `generate`.  A
 PSL(2,p^2) element is the 4-tuple (a, b, c, d) of field codes of
 [[a, b], [c, d]]: F_(p^2) is numbered code(a0 + a1*w) = a0*p + a1, and
 sums, products, negatives and inverses are look-ups in tables built once
-per group from `fq_make(p)`.  Code order is the order of the (a0, a1)
-pairs, so the 4-tuples sort as the flat tuples of matrix entries would.  A
-PSL(3,3) element is the row-major 9-tuple of its entries over F_3.
+per group from `fq_make(p)`; the product picks its sign itself.  A
+PSL(3,3) element is the triple of its row codes 9a + 3b + c, and a product
+row is one integer dot product with the other factor's rows spread into
+base-13 fields, reduced mod 3 by look-up.  Both codes keep order, so the
+tuples sort as the flat tuples of matrix entries would.
 
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
-x^j is recorded with order k / gcd(j, k).  The exponent and the order-p
-classes read that list.  Conjugacy orbits walk a small generating set: the
-unipotents x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the
-3-cycle permutation matrix for PSL(3,3).  Every power walk stops after the
-group order steps: a faulty product raises an AssertionError naming the
-element instead of looping for ever.
+x^j is recorded with order k / gcd(j, k), read from one list per k.  The
+exponent and the order-p classes read that list.  Conjugacy orbits walk a
+small generating set: the unipotents x(1), x(w) and y(1) for PSL(2,p^2),
+and I + E_12 with the 3-cycle permutation matrix for PSL(3,3).  Every
+power walk stops after the group order steps: a faulty product raises an
+AssertionError naming the element instead of looping for ever.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class GroupOracle:
         if self._orders is None:
             index, identity, mul = self._index, self.identity, self.mul
             orders, steps = [0] * len(self.elements), range(self.expected_order)
+            by_length = {}  # k -> [k // gcd(j, k) for j = 1, ..., k]
             for i, x in enumerate(self.elements):
                 if orders[i]:
                     continue
@@ -102,8 +105,10 @@ class GroupOracle:
                 except KeyError:  # a power left the listing
                     raise self._no_identity(x) from None
                 k = len(powers)
-                for j, at in enumerate(powers, 1):
-                    orders[at] = k // gcd(j, k)
+                if k not in by_length:
+                    by_length[k] = [k // gcd(j, k) for j in range(1, k + 1)]
+                for at, order in zip(powers, by_length[k]):
+                    orders[at] = order
             self._orders = orders
         return self._orders
 
@@ -151,7 +156,8 @@ class GroupOracle:
 
 class PSL2(GroupOracle):
     """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2), as
-    4-tuples of field codes; of x and -x the smaller is canonical."""
+    4-tuples of field codes; of x and -x the smaller is canonical, and `mul`
+    applies that rule of `canon` to the entries it computes."""
 
     def __init__(self, p: int) -> None:
         super().__init__()
@@ -172,6 +178,8 @@ class PSL2(GroupOracle):
         self._prod = [[code[f.mul(x, y)] for y in field] for x in field]
         self._sum = [[code[f.add(x, y)] for y in field] for x in field]
         self._neg = [code[f.neg(x)] for x in field]
+        # v may lead a canonical element: v < -v (never zero)
+        self._leads = [v < n for v, n in enumerate(self._neg)]
         # zero has no inverse; its slot is never read
         self._inv = [0] + [code[f.inv(x)] for x in field[1:]]
         one = code[f.one]
@@ -185,16 +193,19 @@ class PSL2(GroupOracle):
         a, b, c, d = x
         e, g, h, i = y
         pa, pb, pc, pd = prod[a], prod[b], prod[c], prod[d]
-        return self.canon((s[pa[e]][pb[h]], s[pa[g]][pb[i]],
-                           s[pc[e]][pd[h]], s[pc[g]][pd[i]]))
+        a, b = s[pa[e]][pb[h]], s[pa[g]][pb[i]]
+        c, d = s[pc[e]][pd[h]], s[pc[g]][pd[i]]
+        if self._leads[a or b or c or d]:
+            return (a, b, c, d)
+        neg = self._neg
+        return (neg[a], neg[b], neg[c], neg[d])
 
     def canon(self, x):
         # the smaller of x and -x: they first differ at the first nonzero
         # entry v, and x is the smaller when v < -v in code order
         neg = self._neg
         a, b, c, d = x
-        v = a or b or c or d
-        if v < neg[v]:
+        if self._leads[a or b or c or d]:
             return x
         return (neg[a], neg[b], neg[c], neg[d])
 
@@ -228,43 +239,47 @@ class PSL2(GroupOracle):
 
 
 class PSL3(GroupOracle):
-    """PSL(3,3) = SL(3,3), whose centre is trivial."""
+    """PSL(3,3) = SL(3,3), whose centre is trivial, as triples of row codes
+    9a + 3b + c of rows (a, b, c) over F_3."""
 
     name, p, expected_order = "PSL(3,3)", 3, 5616
     # 312 = lcm(13, 8, 6, 3); the order-3 classes are the transvections and
     # the regular unipotents
     expected_exponent, expected_class_sizes = 312, [104, 624]
-    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    identity = (9, 3, 1)
     # I + E_12 and the 3-cycle permutation matrix; their conjugates
     # I + E_23 and I + E_31 have every other transvection as a commutator
-    generators = [(1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 1, 0, 0)]
+    generators = [(12, 3, 1), (3, 1, 9)]
+
+    def __init__(self) -> None:
+        super().__init__()
+        # rows by code, and spread into base-13 fields: each field of a row
+        # a.Y1 + b.Y2 + c.Y3 of x.y is at most 12; `_mod3` reduces them mod 3
+        self._rows = rows = list(product(range(3), repeat=3))
+        self._spread = [169 * a + 13 * b + c for a, b, c in rows]
+        self._mod3 = [9 * a + 3 * b + c
+                      for a, b, c in product([0, 1, 2] * 4 + [0], repeat=3)]
 
     def mul(self, x, y):
-        a, b, c, d, e, f_, g, h, i = x
-        j, k, l_, m, n, o, r, s, u = y
-        return (
-            (a * j + b * m + c * r) % 3, (a * k + b * n + c * s) % 3,
-            (a * l_ + b * o + c * u) % 3,
-            (d * j + e * m + f_ * r) % 3, (d * k + e * n + f_ * s) % 3,
-            (d * l_ + e * o + f_ * u) % 3,
-            (g * j + h * m + i * r) % 3, (g * k + h * n + i * s) % 3,
-            (g * l_ + h * o + i * u) % 3,
-        )
+        rows, spread, mod3 = self._rows, self._spread, self._mod3
+        (x1, x2, x3), (y1, y2, y3) = x, y
+        u, v, w = spread[y1], spread[y2], spread[y3]
+        (a, b, c), (d, e, f_), (g, h, i) = rows[x1], rows[x2], rows[x3]
+        return (mod3[a * u + b * v + c * w], mod3[d * u + e * v + f_ * w],
+                mod3[g * u + h * v + i * w])
 
     def generate(self) -> list[tuple]:
         # det [r1; r2; r3] = r3 . (r1 x r2), so each pair of first rows takes
         # the third rows r3 with r3 . n = 1 for n = r1 x r2, none when n = 0;
-        # rows in product order keep the whole list increasing
-        rows = list(product(range(3), repeat=3))
-        thirds = {n: [r for r in rows
-                      if (r[0] * n[0] + r[1] * n[1] + r[2] * n[2]) % 3 == 1]
-                  for n in rows}
+        # rows in code order keep the whole list increasing
+        rows = list(enumerate(self._rows))
+        thirds = [[r for r, (a, b, c) in rows if (a * k + b * l_ + c * m) % 3
+                   == 1] for _n, (k, l_, m) in rows]
         out = []
-        for r1, r2 in product(rows, repeat=2):
-            (a, b, c), (d, e, f_) = r1, r2
-            n = ((b * f_ - c * e) % 3, (c * d - a * f_) % 3,
-                 (a * e - b * d) % 3)
-            out.extend(r1 + r2 + r3 for r3 in thirds[n])
+        for (r1, (a, b, c)), (r2, (d, e, f_)) in product(rows, repeat=2):
+            n = 9 * ((b * f_ - c * e) % 3) + 3 * ((c * d - a * f_) % 3) + (
+                a * e - b * d) % 3
+            out.extend((r1, r2, r3) for r3 in thirds[n])
         return out
 
 

@@ -487,6 +487,28 @@ def test_failed_json_write_names_the_path(capsys):
         "grunits: error: /dev/full: No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("with_json", [False, True])
+def test_failed_stdout_write_names_stdout(tmp_path, with_json):
+    # the final flush of stdout fails with an error that names no file; the
+    # --json report, written before it, is complete and not to blame
+    out = tmp_path / "r.json"
+    argv = ["patterns", "--p", "7"]
+    if with_json:
+        argv += ["--json", str(out)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grunits.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "grunits: error: stdout: No space left on device\n"
+    if with_json:
+        assert _load(out)["ok"] is True
+
+
 @pytest.mark.parametrize("buffering", [1, -1])
 def test_closed_stdout_exits_quietly(buffering, monkeypatch, capsys):
     # a reader that closes early (`| head`): the write raises

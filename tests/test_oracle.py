@@ -156,6 +156,11 @@ def test_psl2_listing_decodes_to_increasing_flat_tuples(q):
     assert all(2 * next(v for v in x if v) < p for x in flat)
 
 
+def _flat9(x):
+    # a triple of row codes 9a + 3b + c as the row-major 9-tuple of entries
+    return tuple(v for r in x for v in (r // 9, r // 3 % 3, r % 3))
+
+
 def test_psl3_product_matches_index_loop():
     mul = PSL3().mul
 
@@ -171,24 +176,42 @@ def test_psl3_product_matches_index_loop():
     rng = random.Random(3)
     for _ in range(20000):
         x, y = rng.choice(elements), rng.choice(elements)
-        assert mul(x, y) == loop_mul(x, y)
+        assert _flat9(mul(x, y)) == loop_mul(_flat9(x), _flat9(y))
+
+
+def test_psl3_listing_decodes_to_increasing_flat_tuples_of_determinant_one():
+    def det3(m):
+        a, b, c, d, e, f, g, h, i = m
+        return (a * (e * i - f * h) - b * (d * i - f * g)
+                + c * (d * h - e * g)) % 3
+
+    g = cached_group("psl3", 3)
+    assert _flat9(g.identity) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    flat = [_flat9(x) for x in g.elements]
+    assert len(flat) == 5616
+    assert all(x < y for x, y in zip(flat, flat[1:]))
+    assert all(det3(x) == 1 for x in flat)
 
 
 def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
-    g = PSL2(5).enumerate()
-    products = 0
-    mul = type(g).mul
+    # `element_order` on every element costs 66,821 products in PSL(2,25)
+    # and 38,923 in PSL(3,3); one walk per cyclic subgroup, with the class
+    # orbits, costs 12,573 and 10,569
+    for g, bound in [(PSL2(5).enumerate(), 15_000),
+                     (PSL3().enumerate(), 12_000)]:
+        products = 0
+        mul = type(g).mul
 
-    def counted(self, x, y):
-        nonlocal products
-        products += 1
-        return mul(self, x, y)
+        def counted(self, x, y):
+            nonlocal products
+            products += 1
+            return mul(self, x, y)
 
-    monkeypatch.setattr(type(g), "mul", counted)
-    g.order_p_classes()
-    g.exponent()
-    # one walk per element costs 143,626 products here
-    assert products <= 15_000
+        with monkeypatch.context() as m:
+            m.setattr(type(g), "mul", counted)
+            g.order_p_classes()
+            g.exponent()
+        assert products <= bound, g.name
 
 
 @pytest.fixture
@@ -206,17 +229,11 @@ def alarm():
 
 
 def _psl2_9_with_canon_flipped():
-    # with canon's sign choice flipped a power lands on -1, never on the
-    # canonical identity, and leaves the listing
+    # with the sign rule flipped where `mul` and `canon` read it, a power
+    # lands on -1, never on the canonical identity, and leaves the listing
     g = PSL2(3).enumerate()
-    neg = g._neg
-
-    def flipped(x):
-        a, b, c, d = x
-        v = a or b or c or d
-        return x if v > neg[v] else (neg[a], neg[b], neg[c], neg[d])
-
-    g.canon = flipped
+    g._leads = [not lead for lead in g._leads]
+    assert g.mul(g.identity, g.identity) != g.identity
     return g
 
 
@@ -235,6 +252,19 @@ def test_a_faulty_canon_fails_the_order_walks(alarm):
     with pytest.raises(AssertionError,
                        match=re.escape(f"PSL(2,9): the powers of {first} miss")):
         g.orders()
+
+
+def test_a_faulty_mod3_table_fails_the_order_walks(alarm):
+    # one wrong entry in the PSL(3,3) reduction table: the field sums
+    # (1, 0, 0) now reduce to the row (1, 0, 1)
+    g = PSL3().enumerate()
+    assert g._mod3[169] == 9
+    g._mod3[169] = 10
+    with pytest.raises(AssertionError, match=re.escape(
+            "PSL(3,3): the powers of (")) as caught:
+        g.orders()
+    assert str(caught.value).endswith("miss the identity within the group "
+                                      "order 5616")
 
 
 def test_psl2_49_ground_truth():
