@@ -316,6 +316,15 @@ def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
         for option, value in values.items()})
 
 
+def _drop_stdout() -> None:
+    # after a failed write the bytes stay buffered: point stdout at devnull
+    # so that the flush at exit cannot raise again (the recipe in Python's
+    # `signal` docs)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -330,12 +339,8 @@ def main(argv: list[str] | None = None) -> int:
                       "ok": ok, "wall_clock_s": wall_clock_s}, args.json)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so that the flush at
-        # exit cannot raise again (the recipe in Python's `signal` docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader is gone
+        _drop_stdout()
         return 1
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
@@ -346,9 +351,12 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, FileNotFoundError) and exc.filename != args.json:
             print(f"grunits: error: missing file {exc.filename}",
                   file=sys.stderr)
+        elif exc.filename is None:
+            _drop_stdout()
+            print(f"grunits: error: stdout: {exc.strerror}", file=sys.stderr)
         else:
-            name = "stdout" if exc.filename is None else exc.filename
-            print(f"grunits: error: {name}: {exc.strerror}", file=sys.stderr)
+            print(f"grunits: error: {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
         return 2
 
 

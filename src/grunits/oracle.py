@@ -157,7 +157,7 @@ class GroupOracle:
 class PSL2(GroupOracle):
     """PSL(2, p^2) via canonical +/- representatives of SL(2, p^2), as
     4-tuples of field codes; of x and -x the smaller is canonical, and `mul`
-    applies that rule of `canon` to the entries it computes."""
+    applies that rule to the entries it computes."""
 
     def __init__(self, p: int) -> None:
         super().__init__()
@@ -198,15 +198,6 @@ class PSL2(GroupOracle):
         if self._leads[a or b or c or d]:
             return (a, b, c, d)
         neg = self._neg
-        return (neg[a], neg[b], neg[c], neg[d])
-
-    def canon(self, x):
-        # the smaller of x and -x: they first differ at the first nonzero
-        # entry v, and x is the smaller when v < -v in code order
-        neg = self._neg
-        a, b, c, d = x
-        if self._leads[a or b or c or d]:
-            return x
         return (neg[a], neg[b], neg[c], neg[d])
 
     def generate(self) -> list[tuple]:

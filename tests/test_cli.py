@@ -488,20 +488,26 @@ def test_failed_json_write_names_the_path(capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("with_json", [False, True])
-def test_failed_stdout_write_names_stdout(tmp_path, with_json):
-    # the final flush of stdout fails with an error that names no file; the
-    # --json report, written before it, is complete and not to blame
+def test_failed_stdout_write_names_stdout(tmp_path, with_json, unbuffered):
+    # the write or final flush of stdout fails with an error that names no
+    # file; the --json report, written before it, is complete and not to
+    # blame.  Buffered, the failed bytes stay in the buffer, and the flush
+    # at exit must not fail on them again.
     out = tmp_path / "r.json"
     argv = ["patterns", "--p", "7"]
     if with_json:
         argv += ["--json", str(out)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "grunits.cli", *argv], stdout=full,
             stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**env, "PYTHONPATH": src},
         )
     assert proc.returncode == 2
     assert proc.stderr == "grunits: error: stdout: No space left on device\n"

@@ -105,7 +105,8 @@ def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
 def test_psl2_product_and_canon_match_field_arithmetic(p):
     # the code tables against Fq arithmetic, through code(a0 + a1*w) =
     # a0*p + a1; the canonical choice is the smaller of x and -x as tuples
-    # of (a0, a1) pairs
+    # of (a0, a1) pairs, and x times the identity is that choice for any
+    # 4-tuple x
     f = fq_make(p)
     group = PSL2(p)
 
@@ -135,12 +136,13 @@ def test_psl2_product_and_canon_match_field_arithmetic(p):
         rng = random.Random(p)
         pairs = [tuple(tuple(rng.randrange(p * p) for _ in range(4))
                        for _ in range(2)) for _ in range(5000)]
+    one = group.identity
     for x, y in pairs:
         xy = field_mul(decode(x), decode(y))
         want = encode(field_canon(xy))
         assert group.mul(x, y) == want
-        assert group.canon(encode(xy)) == want
-    assert all(group.canon(x) == encode(field_canon(decode(x)))
+        assert group.mul(encode(xy), one) == want
+    assert all(group.mul(x, one) == encode(field_canon(decode(x)))
                for x, _y in pairs)
 
 
@@ -229,7 +231,7 @@ def alarm():
 
 
 def _psl2_9_with_canon_flipped():
-    # with the sign rule flipped where `mul` and `canon` read it, a power
+    # with the sign rule flipped where `mul` reads it, a power
     # lands on -1, never on the canonical identity, and leaves the listing
     g = PSL2(3).enumerate()
     g._leads = [not lead for lead in g._leads]
