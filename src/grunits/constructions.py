@@ -14,17 +14,18 @@ and for each generator the exponent of every block.  Elements and their
 traces are read off the tables; nothing is multiplied out per element.
 Verification proves with real matrix products the premises that make the
 exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
-the representation faithful), then recovers every element's partial
-augmentations (eps_x, eps_y) on the two order-p classes x, y in closed
-form (`invert_profile`): augmentation one and the first distinguished row
-separating x and y give the pair as exact `Fraction`s, and every
-distinguished row is checked against it.  Integrality, class counts and
-the Marciniak-Ritter-Sehgal-Weiss sign test (rationally conjugate to a
-group element iff both are non-negative) are read off the pair.  The
+the representation faithful), then, in one pass over the elements,
+recovers every element's partial augmentations (eps_x, eps_y) on the two
+order-p classes x, y in closed form (`invert_profile`): augmentation one
+and the first distinguished row separating x and y give the pair as exact
+`Fraction`s, and every distinguished row is checked against it.
+Integrality, the element's class, class counts and the
+Marciniak-Ritter-Sehgal-Weiss sign test (rationally conjugate to a group
+element iff both are non-negative) are read off the pair.  The
 distinguished rows are looked up, and checked to separate x and y, once
 per group, so a table from GRS_DATA_DIR failing either is a
 `ValidationError`.  For PSL(2,p^2) verification also reads the mixed-class
-pattern off the verified `eta` traces; the Valenti search scans the
+pattern off the same solved classes; the Valenti search scans the
 non-squares mu of F_(p^2) for a Sylow generator pair (1, mu) realizing
 that pattern.  The other character values carry no information of their
 own: `element_profile` synthesizes them from the solved augmentations, as
@@ -150,13 +151,6 @@ class UnitGroup:
         """Every element's exponent vector, in sorted order."""
         return itertools.product(range(self.p), repeat=self.rank)
 
-    @property
-    def generators(self) -> list[dict[str, BlockDiag]]:
-        return [
-            self.element(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
-        ]
-
 
 def build_psl2_units(p: int, pattern) -> UnitGroup:
     """The pair u, v in the eta-component of PSL(2,p^2) realizing `pattern`.
@@ -240,18 +234,21 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     Checks: every block base satisfies M^p = I (one product past its power
     table), so generators have order p unless trivial; generators are
     non-trivial and commute (real block products); the distinguished-
-    component representation is faithful (so the group order is p^rank);
-    every nontrivial element's partial augmentations come from one exact
-    solve of augmentation one and its distinguished traces (`solve_element`),
-    whose inconsistency is reported as a problem; integrality, the MRSW
-    signs and per-class counts are read off that solution.  A PSL(2,p^2)
-    group also needs its generators on the support classes in order (u on
-    c, v on d); its `trace_pattern`, the j with u*v^j on class c, is read
-    off the `eta` traces and must equal the requested pattern.
+    component representation is faithful (so the group order is p^rank).
+    One pass over the elements then solves every nontrivial element once
+    (`solve_element`: augmentation one and its distinguished traces), and
+    reports an inconsistent solve as a problem.  Integrality, the MRSW signs
+    and the element's class are read off that solution: x for (1, 0), y for
+    (0, 1), "other" for anything else.  Per-class counts come from those
+    classes, and so do the premises of a PSL(2,p^2) group: its generators
+    on the support classes in order (u on c, v on d), and its
+    `trace_pattern`, the j with u*v^j on class c, which must equal the
+    requested pattern.
     """
     p, rank = ug.p, ug.rank
     problems: list[str] = []
-    gens = ug.generators
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    gens = [ug.element(exps) for exps in units]
     comp_names = list(ug.bases)
     closes = {base: (tab[p - 1] * base).is_identity()
               for base, tab in ug.powers.items()}
@@ -264,6 +261,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             if not periodic or gens[i][name].is_identity():
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not have order {p} in {name}")
+        # never fails (blocks are powers of one base); kept until ROADMAP item 1
         for j in range(i + 1, rank):
             for name in comp_names:
                 a, b = gens[i][name], gens[j][name]
@@ -273,36 +271,29 @@ def verify_unit_group(ug: UnitGroup) -> dict:
                         f"{ug.generator_names[j]} do not commute in {name}"
                     )
 
-    distinct = {
-        tuple(ug.element(exps).values()) for exps in ug.exponent_vectors()
-    }
-    faithful = len(distinct) == p ** rank
-    if not faithful:
-        problems.append("distinguished components do not separate elements")
-
     xa, xb = ug.support
+    distinct = set()
+    unsolved: list[str] = []
+    on_class: dict[tuple[int, ...], str] = {}
     per_element = []
     counts = {xa: 0, xb: 0, "other": 0}
     all_integral = True
     all_mrsw = True
     for exps in ug.exponent_vectors():
+        distinct.add(tuple(ug.element(exps).values()))
         if not any(exps):
             continue
         try:
             ea, eb = solve_element(ug, exps)
         except Inconsistent as exc:
-            problems.append(f"element {exps}: {exc}")
+            unsolved.append(f"element {exps}: {exc}")
             continue
         integral = ea.denominator == 1  # and so is eb = 1 - ea
         mrsw = ea >= 0 and eb >= 0
         all_integral &= integral
         all_mrsw &= mrsw
-        if (ea, eb) == (1, 0):
-            counts[xa] += 1
-        elif (ea, eb) == (0, 1):
-            counts[xb] += 1
-        else:
-            counts["other"] += 1
+        on_class[exps] = {(1, 0): xa, (0, 1): xb}.get((ea, eb), "other")
+        counts[on_class[exps]] += 1
         per_element.append(
             {
                 "exponents": list(exps),
@@ -315,20 +306,18 @@ def verify_unit_group(ug: UnitGroup) -> dict:
                 "mrsw": mrsw,
             }
         )
+    faithful = len(distinct) == p ** rank
+    if not faithful:
+        problems.append("distinguished components do not separate elements")
+    problems += unsolved
 
     pattern_fields = {}
     if ug.pattern is not None:
-        eta = ug.table.char_by_name("eta")
         for i, cls in enumerate(ug.support):
-            generator = tuple(int(j == i) for j in range(rank))
-            if ug.traces(generator)["eta"] != eta.values[cls]:
+            if on_class.get(units[i]) != cls:
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not lie on class {cls}")
-        recovered = sorted(
-            j
-            for j in range(1, p)
-            if ug.traces((1, j))["eta"] == eta.values["c"]
-        )
+        recovered = [j for j in range(1, p) if on_class.get((1, j)) == xa]
         if recovered != sorted(ug.pattern):
             problems.append("trace pattern disagrees with requested pattern")
         pattern_fields = {"pattern": sorted(ug.pattern),

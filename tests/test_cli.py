@@ -68,6 +68,51 @@ def test_construct_verify_solves_each_element_once(tmp_path, monkeypatch):
     assert len(calls) == 48
 
 
+def test_construct_verify_evaluates_traces_once_per_use(tmp_path, monkeypatch):
+    traces = constructions.UnitGroup.traces
+    calls = []
+
+    def counting(self, exps):
+        calls.append(exps)
+        return traces(self, exps)
+
+    monkeypatch.setattr(constructions.UnitGroup, "traces", counting)
+    assert main(["construct", "psl2", "--p", "7", "--pattern", "1,2,4",
+                 "--verify", "--json", str(tmp_path / "r.json")]) == 0
+    # per non-identity element, one for its solve and one for its report
+    # entry; the class facts are read off the solves, not off the traces
+    assert len(calls) == 2 * 48
+
+
+@pytest.mark.parametrize("argv", [
+    ["psl2", "--p", "3", "--pattern", "1"],
+    ["psl2", "--p", "5", "--pattern", "1,2"],
+    ["psl2", "--p", "7", "--pattern", "1,2,3"],
+    ["psl2", "--p", "7", "--pattern", "1,2,4"],
+    ["psl2", "--p", "11", "--pattern", "1,2,3,5,9"],
+    ["psl2", "--p", "11", "--pattern", "1,2,3,4,5"],
+    ["psl2", "--p", "13", "--pattern", "1,2,3,4,5,9"],
+    ["psl2", "--p", "13", "--pattern", "1,2,3,4,5,6"],
+    ["psl33"],
+])
+def test_construct_printed_fields_agree(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert main(["construct", *argv, "--verify", "--json", str(out)]) == 0
+    result = _load(out)["result"]
+    aug = {tuple(e["exponents"]): e["aug"] for e in result["elements"]}
+    x, y = sorted(result["counts"].keys() - {"other"})
+    on = {x: {x: "1", y: "0"}, y: {x: "0", y: "1"}}
+    tally = dict.fromkeys(result["counts"], 0)
+    for entry in aug.values():
+        tally[next((cls for cls in on if entry == on[cls]), "other")] += 1
+    assert tally == result["counts"]
+    if argv[0] == "psl2":
+        p = result["p"]
+        assert result["trace_pattern"] == [
+            j for j in range(1, p) if aug[(1, j)] == on[x]]
+        assert (aug[(1, 0)], aug[(0, 1)]) == (on[x], on[y])
+
+
 def test_construct_psl33_verify(tmp_path):
     out = tmp_path / "r.json"
     assert main(["construct", "psl33", "--verify", "--json", str(out)]) == 0

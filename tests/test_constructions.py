@@ -240,7 +240,8 @@ def test_verify_rejects_generators_on_swapped_classes():
     u, v = ug.generator_exponents
     report = verify_unit_group(_rebuilt(ug, generator_exponents=[v, u]))
     assert report["trace_pattern"] == [1, 4]
-    assert "generator u does not lie on class c" in report["problems"]
+    assert report["problems"] == ["generator u does not lie on class c",
+                                  "generator v does not lie on class d"]
     assert report["ok"] is False
 
 
@@ -249,6 +250,11 @@ def test_verify_rejects_equal_generators():
     _u, v = ug.generator_exponents
     report = verify_unit_group(_rebuilt(ug, generator_exponents=[v, v]))
     assert report["faithful"] is False
+    assert report["problems"] == [
+        "distinguished components do not separate elements",
+        "generator u does not lie on class c",
+        "trace pattern disagrees with requested pattern",
+    ]
     assert report["ok"] is False
 
 
@@ -300,4 +306,41 @@ def test_verify_rejects_traces_breaking_augmentation_one():
     report = verify_unit_group(
         _rebuilt(ug, generator_exponents=[bad_alpha, beta, gamma]))
     assert any(p.startswith("element (1, 0, 0): ") for p in report["problems"])
+    assert report["ok"] is False
+
+
+def test_verify_reports_a_doubly_faulty_presentation_in_order():
+    # bad_alpha breaks augmentation one on chi16a, and the repeated beta
+    # makes the representation unfaithful: the faithfulness problem comes
+    # first, then every element without a solution, in exponent order
+    ug = build_psl33_units()
+    alpha, beta, _gamma = ug.generator_exponents
+    bad_alpha = {**alpha, "phi": (0,) + alpha["phi"][1:]}
+    report = verify_unit_group(
+        _rebuilt(ug, generator_exponents=[bad_alpha, beta, beta]))
+    contradicts = "row chi16a contradicts eps ="
+    assert report["problems"] == [
+        "distinguished components do not separate elements",
+        f"element (0, 1, 2): {contradicts} (4, -3)",
+        f"element (0, 2, 1): {contradicts} (4, -3)",
+        f"element (1, 0, 0): {contradicts} (3, -2)",
+        f"element (1, 0, 1): {contradicts} (0, 1)",
+        f"element (1, 0, 2): {contradicts} (1, 0)",
+        f"element (1, 1, 0): {contradicts} (0, 1)",
+        f"element (1, 1, 1): {contradicts} (1, 0)",
+        f"element (1, 1, 2): {contradicts} (3, -2)",
+        f"element (1, 2, 0): {contradicts} (1, 0)",
+        f"element (1, 2, 1): {contradicts} (3, -2)",
+        f"element (1, 2, 2): {contradicts} (0, 1)",
+        f"element (2, 0, 0): {contradicts} (3, -2)",
+        f"element (2, 0, 1): {contradicts} (1, 0)",
+        f"element (2, 0, 2): {contradicts} (0, 1)",
+        f"element (2, 1, 0): {contradicts} (1, 0)",
+        f"element (2, 1, 1): {contradicts} (0, 1)",
+        f"element (2, 1, 2): {contradicts} (3, -2)",
+        f"element (2, 2, 0): {contradicts} (0, 1)",
+        f"element (2, 2, 1): {contradicts} (3, -2)",
+        f"element (2, 2, 2): {contradicts} (1, 0)",
+    ]
+    assert report["counts"] == {"a": 0, "b": 6, "other": 0}
     assert report["ok"] is False
