@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .finitefield import is_prime
+from .finitefield import check_odd_prime
 
 # psl2_slice holds (p^2+5)/2 rows, so its memory grows as p^2; p is capped
 # at the largest prime the HeLP scan has been run at
@@ -90,10 +90,7 @@ def psl2_slice(p: int) -> TableSlice:
     values (p+1)/2 and (1-p)/2 on c and d.  All remaining irreducible rows
     take equal values on c and d.
     """
-    if p > MAX_PRIME:
-        raise ValueError(f"p capped at {MAX_PRIME}")
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    check_odd_prime(p, MAX_PRIME)
     q = p * p
     order = q * (q * q - 1) // 2
     usize = (q * q - 1) // 2
@@ -241,31 +238,26 @@ def mixed_value_decomposition(t: TableSlice, x: str, y: str,
                               base1: str, base2: str) -> bool:
     """Whether each row's (x,y)-imbalance goes through the two designated rows.
 
-    Every row theta must satisfy theta = n1*base1 + n2*base2 + rho with
-    n1, n2 non-negative integers and rho equal on x and y with non-negative
-    degree; the answer is False at the first row that does not.  This is
+    Every row theta must satisfy theta = n*base + rho with base one of the
+    two designated rows, n a non-negative integer and rho equal on x and y
+    with non-negative degree; the answer is False at the first row that
+    does not.  With delta and d the (x,y)-imbalances of theta and base, that
+    is d | delta, delta/d >= 0 and (delta/d)*deg(base) <= deg(theta), base
+    being base1 when its d has the sign of delta, else base2.  This is
     the structural fact that lets unit constructions pin only the two
     distinguished components.
     """
+    def imbalance(ch: CharSlice) -> int:
+        return ch.values[x] - ch.values[y]
+
     b1, b2 = t.char_by_name(base1), t.char_by_name(base2)
-    d1 = b1.values[x] - b1.values[y]
-    d2 = b2.values[x] - b2.values[y]
     for ch in t.chars:
-        delta = ch.values[x] - ch.values[y]
+        delta = imbalance(ch)
         if delta == 0:
             continue
-        # one of d1, d2 is positive and the other negative for the shipped data
-        n1, n2 = Fraction(0), Fraction(0)
-        if d1 != 0 and Fraction(delta, d1) >= 0:
-            n1 = Fraction(delta, d1)
-        elif d2 != 0:
-            n2 = Fraction(delta, d2)
-        rest_deg = ch.degree - n1 * b1.degree - n2 * b2.degree
-        if not (delta == n1 * d1 + n2 * d2
-                and n1.denominator == 1
-                and n2.denominator == 1
-                and n1 >= 0
-                and n2 >= 0
-                and rest_deg >= 0):
+        base = b1 if imbalance(b1) * delta > 0 else b2
+        d = imbalance(base)
+        if d == 0 or delta % d or delta // d < 0 \
+                or delta // d * base.degree > ch.degree:
             return False
     return True

@@ -81,7 +81,7 @@ def _usage_error(message: str) -> NoReturn:
 
 def _parse_pattern(text: str) -> set[int]:
     try:
-        entries = [int(tok) for tok in text.split(",") if tok.strip()]
+        entries = [int(tok) for tok in text.split(",")]
     except ValueError:
         _usage_error(
             f"bad --pattern {text!r}: expected comma-separated integers")

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .chardata import (CharSlice, TableSlice, ValidationError,
                        format_rational, psl2_slice, psl33_slice)
-from .finitefield import fq_make
+from .finitefield import check_odd_prime, fq_make
 from .matrices import BlockDiag, QMatrix, companion_cyclotomic
 from .patterns import _pattern_of
 
@@ -159,9 +159,8 @@ def build_psl2_units(p: int, pattern) -> UnitGroup:
     A the order-p companion matrix appearing (p+1)/2 times; u*v^j then has
     trace (p+1)/2 exactly when j lies in the pattern.
     """
-    if p > MAX_PRIME:
-        raise ValueError(f"p capped at {MAX_PRIME}")
-    table = psl2_slice(p)  # rejects p that is not an odd prime
+    check_odd_prime(p, MAX_PRIME)
+    table = psl2_slice(p)
     members = frozenset(int(i) for i in pattern)
     if not members <= set(range(1, p)) or len(members) != (p - 1) // 2:
         raise ValueError(

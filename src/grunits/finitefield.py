@@ -9,6 +9,10 @@ Square status is a membership test in `Fq.squares`, the set {y*y : y != 0}
 built once per field when the field is made (`fq_make` caches one field per
 p).  No Euler criterion is involved; the tests keep the power with
 exponent (q-1)/2 as the reference they compare against.
+
+`check_odd_prime` is the one statement of the rule on p that every layer
+taking p applies, with the layer's cap: p must be an odd prime, since at
+p = 2 the quadratic-residue combinatorics degenerates.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int, cap: int | None = None) -> None:
+    """Raise `ValueError` unless p is an odd prime, at most `cap` if given.
+
+    The cap is tested first, so a huge p fails before trial division.
+    """
+    if cap is not None and p > cap:
+        raise ValueError(f"p capped at {cap}")
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+
+
 Elem = tuple[int, int]
 
 
@@ -38,11 +53,7 @@ class Fq:
     """The field F_(p^2) = F_p[w] / (w^2 - t), p an odd prime."""
 
     def __init__(self, p: int) -> None:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p == 2:
-            raise ValueError("p = 2 is excluded; the quadratic-residue "
-                             "combinatorics degenerates there")
+        check_odd_prime(p)
         self.p = p
         self.q = p * p
         self.t = self._smallest_nonresidue(p)

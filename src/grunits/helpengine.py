@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import comb
 
 from .chardata import CharSlice, format_rational
+from .finitefield import check_odd_prime
 
 Point = tuple[int, ...]
 
@@ -124,8 +125,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     kernels; the witness of an infeasible x is its count-level failure,
     else the first failing kernel of the first candidate (1 << x) - 1.
     """
-    if p == 2:
-        raise ValueError("p must be an odd prime")
+    check_odd_prime(p)
     if rank not in (2, 3):
         raise ValueError("rank must be 2 or 3")
     rows = _int_rows(theta_set, class_ids)

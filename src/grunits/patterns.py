@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from itertools import combinations
 
-from .finitefield import fq_make
+from .finitefield import check_odd_prime, fq_make
 
 MAX_PRIME = 23
 # balanced patterns --list-missing may list: C(12,6) = 924 at p = 13 fit
@@ -66,8 +66,7 @@ def _all_pair_patterns(f, nonsquares) -> set[frozenset[int]]:
 
 def group_patterns(p: int) -> set[frozenset[int]]:
     """All patterns realized by pairs (g, h), g square class, h non-square."""
-    if p > MAX_PRIME:
-        raise ValueError(f"p capped at {MAX_PRIME}")
+    check_odd_prime(p, MAX_PRIME)
     f = fq_make(p)
     nonsquares = [e for e in f.elements() if e != f.zero and not f.is_square(e)]
     normalized = {_pattern_of(f, f.one, mu) for mu in nonsquares}

@@ -349,6 +349,13 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
         assert (f"bad --pattern '{pattern}': repeated entry {repeated}"
                 in capsys.readouterr().err)
+    # empty entries are errors, so ",,1" cannot pass as {1}
+    for p, pattern in (("3", ",,1"), ("5", "1,,2"), ("5", "1,2,")):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "psl2", "--p", p, "--pattern", pattern])
+        assert exc.value.code == 2
+        assert (f"bad --pattern '{pattern}': expected comma-separated integers"
+                in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

@@ -258,6 +258,23 @@ def test_verify_rejects_equal_generators():
     assert report["ok"] is False
 
 
+def test_verify_rejects_generators_differing_only_in_the_trivial_block():
+    # u' is u with exponent 1 on the 1x1 identity block, so u and u' are the
+    # same matrices although their raw block exponents differ: the 25 raw
+    # tuples are distinct, and a check on raw exponents would pass
+    ug = build_psl2_units(5, {1, 2})
+    u, _v = ug.generator_exponents
+    u_prime = {"eta": (1,) + u["eta"][1:]}
+    bad = _rebuilt(ug, generator_exponents=[u, u_prime])
+    raw = {tuple(bad.block_exponents(e)["eta"]) for e in bad.exponent_vectors()}
+    assert len(raw) == 25
+    report = verify_unit_group(bad)
+    assert report["faithful"] is False
+    assert report["problems"][0] == \
+        "distinguished components do not separate elements"
+    assert report["ok"] is False
+
+
 def _forced_profile(ug, exps):
     """The element's profile as the support hypothesis forces it: the
     distinguished traces, and every other row from the pair (eps_a, eps_b)

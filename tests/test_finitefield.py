@@ -2,6 +2,7 @@ import pytest
 
 from grunits.finitefield import (
     ZeroElement,
+    check_odd_prime,
     fq_make,
     is_prime,
     square_lines,
@@ -12,8 +13,21 @@ from reference import fq_pow
 def test_fq_make_orders():
     assert len(list(fq_make(3).elements())) == 9
     assert len(list(fq_make(7).elements())) == 49
-    with pytest.raises(ValueError, match="is not prime"):
+    with pytest.raises(ValueError, match="must be an odd prime"):
         fq_make(4)
+
+
+def test_check_odd_prime():
+    for p in (3, 5, 101):
+        check_odd_prime(p, cap=101)
+    for p in (-3, 0, 1, 2, 9, 15):
+        with pytest.raises(ValueError, match="^p must be an odd prime$"):
+            check_odd_prime(p)
+    # the cap comes first: trial division would not settle 2^61 - 1 promptly
+    with pytest.raises(ValueError, match="^p capped at 101$"):
+        check_odd_prime(2 ** 61 - 1, cap=101)
+    with pytest.raises(ValueError, match="^p capped at 101$"):
+        check_odd_prime(102, cap=101)
 
 
 def test_is_prime_small():

@@ -135,6 +135,12 @@ def test_p2_early_exit():
         feasible_distributions([], 2, 2, ("c", "d"))
 
 
+def test_composite_p_rejected():
+    rows = list(psl2_slice(3).chars)
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        feasible_distributions(rows, 9, 2, ("c", "d"))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_rank2_kernels_meet_one_subgroup_each(p):
     # the premise that makes one representative per count exact at rank 2
