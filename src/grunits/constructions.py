@@ -10,12 +10,15 @@ Every block of every generator is a power of one base matrix for that
 block: the companion matrix A of Phi_p (E = A^0, and B = A^2 for PSL(3,3))
 or I_1 for the trivial block.  A group is therefore stored as exponent
 vectors: one exact power table [M^0, ..., M^(p-1)] per distinct base M,
-and for each generator the exponent of every block.  Elements and their
-traces are read off the tables; nothing is multiplied out per element.
-Verification proves with real matrix products the premises that make the
-exponent arithmetic exact (M^p = I, generators non-trivial and commuting,
-the representation faithful), then, in one pass over the elements,
-recovers every element's partial augmentations (eps_x, eps_y) on the two
+and for each generator the exponent of every block.  Elements are never
+multiplied out.  An element's identity is its key, the first index of
+each block's power table holding the same matrix, and its traces are sums
+of the tables' traces.  Only M^p = I, the power tables and the commute
+check use real matrix products.  Verification proves the premises that
+make the exponent arithmetic exact (M^p = I, generators non-trivial and
+commuting, the representation faithful), deciding non-triviality and
+faithfulness on keys.  Then, in one pass over the elements, it recovers
+every element's partial augmentations (eps_x, eps_y) on the two
 order-p classes x, y in closed form (`invert_profile`): augmentation one
 and the first distinguished row separating x and y give the pair as exact
 `Fraction`s, and every distinguished row is checked against it.
@@ -40,7 +43,7 @@ from fractions import Fraction
 from .chardata import (CharSlice, TableSlice, ValidationError,
                        format_rational, psl2_slice, psl33_slice)
 from .finitefield import check_odd_prime, fq_make
-from .matrices import BlockDiag, QMatrix, companion_cyclotomic
+from .matrices import QMatrix, companion_cyclotomic
 from .patterns import _pattern_of
 
 
@@ -77,12 +80,13 @@ class UnitGroup:
     of each block's base.  `rank` is the number of generators r; the
     group has order p^r once `verify_unit_group` proves it faithful.
     Element (e_1, ..., e_r) has block exponents sum_i e_i * k_ij mod p, so
-    its blocks are entries of the power tables and its trace is a sum of
-    table traces.  The tables are built by real `QMatrix` products; that
-    the exponents may be read mod p (M^p = I) and that the generators are
-    non-trivial, commute and act faithfully is what `verify_unit_group`
-    proves, so an inconsistent presentation makes the verification fail
-    rather than the elements silently wrong.
+    its blocks are entries of the power tables, its trace is a sum of
+    table traces, and `key` names it exactly.  The tables are built by
+    real `QMatrix` products; that the exponents may be read mod p
+    (M^p = I) and that the generators are non-trivial, commute and act
+    faithfully is what `verify_unit_group` proves, so an inconsistent
+    presentation makes the verification fail rather than the elements
+    silently wrong.
     """
 
     def __init__(self, table: TableSlice, p: int, support: tuple[str, str],
@@ -101,20 +105,17 @@ class UnitGroup:
             if {c: len(ks) for c, ks in gen.items()} != shape:
                 raise ValueError("generator exponents do not match the blocks")
         self.powers: dict[QMatrix, list[QMatrix]] = {}
-        for blocks in self.bases.values():
-            for base in blocks:
-                if base not in self.powers:
-                    tab = [QMatrix.identity(base.dim)]
-                    for _ in range(self.p - 1):
-                        tab.append(tab[-1] * base)
-                    self.powers[base] = tab
-        traces = {base: [m.trace() for m in tab]
-                  for base, tab in self.powers.items()}
-        # per component, the power table and its traces for each block
-        self._tables = {c: [self.powers[b] for b in blocks]
-                        for c, blocks in self.bases.items()}
-        self._traces = {c: [traces[b] for b in blocks]
-                        for c, blocks in self.bases.items()}
+        for base in dict.fromkeys(b for bs in self.bases.values() for b in bs):
+            tab = [QMatrix.identity(base.dim)]
+            for _ in range(self.p - 1):
+                tab.append(tab[-1] * base)
+            self.powers[base] = tab
+        # per base, the trace of each power, and the first index of the
+        # table holding the same matrix, by exact `QMatrix` equality
+        self.power_traces = {b: [m.trace() for m in tab]
+                             for b, tab in self.powers.items()}
+        self.first = {b: [tab.index(m) for m in tab]
+                      for b, tab in self.powers.items()}
         # the support hypothesis forces every other row, so only these
         # carry information about an element's partial augmentations
         self.solve_rows = [self.table.char_by_name(name)
@@ -133,17 +134,18 @@ class UnitGroup:
                            for col in columns)
         return out
 
-    def element(self, exps: tuple[int, ...]) -> dict[str, BlockDiag]:
-        """The element's blocks per component, taken from the power tables."""
+    def key(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        """Per component, the first power-table index of each block: two
+        elements are equal exactly when their keys are."""
         return {
-            c: BlockDiag(tab[k] for tab, k in zip(self._tables[c], ks))
+            c: tuple(self.first[b][k] for b, k in zip(self.bases[c], ks))
             for c, ks in self.block_exponents(exps).items()
         }
 
     def traces(self, exps: tuple[int, ...]) -> dict[str, Fraction]:
         """Per-component traces: sums of the power tables' traces."""
         return {
-            c: sum(trace[k] for trace, k in zip(self._traces[c], ks))
+            c: sum(self.power_traces[b][k] for b, k in zip(self.bases[c], ks))
             for c, ks in self.block_exponents(exps).items()
         }
 
@@ -232,8 +234,9 @@ def verify_unit_group(ug: UnitGroup) -> dict:
 
     Checks: every block base satisfies M^p = I (one product past its power
     table), so generators have order p unless trivial; generators are
-    non-trivial and commute (real block products); the distinguished-
-    component representation is faithful (so the group order is p^rank).
+    non-trivial (some block's key index is not 0) and commute (real block
+    products); the distinguished-component representation is faithful:
+    the p^rank elements have distinct keys, so the group order is p^rank.
     One pass over the elements then solves every nontrivial element once
     (`solve_element`: augmentation one and its distinguished traces), and
     reports an inconsistent solve as a problem.  Integrality, the MRSW signs
@@ -247,7 +250,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     p, rank = ug.p, ug.rank
     problems: list[str] = []
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    gens = [ug.element(exps) for exps in units]
+    keys = [ug.key(exps) for exps in units]
     comp_names = list(ug.bases)
     closes = {base: (tab[p - 1] * base).is_identity()
               for base, tab in ug.powers.items()}
@@ -257,14 +260,17 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             ks = ug.generator_exponents[i][name]
             periodic = all(closes[base] or k == 0
                            for base, k in zip(ug.bases[name], ks))
-            if not periodic or gens[i][name].is_identity():
+            if not periodic or not any(keys[i][name]):
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not have order {p} in {name}")
-        # never fails (blocks are powers of one base); kept until ROADMAP item 1
+        # never fails (blocks are powers of one base); kept until ROADMAP
+        # item 1a, whose memory figure would read the time saved as a cost
         for j in range(i + 1, rank):
             for name in comp_names:
-                a, b = gens[i][name], gens[j][name]
-                if a * b != b * a:
+                tabs = (ug.powers[m] for m in ug.bases[name])
+                pairs = [(tab[k], tab[l]) for tab, k, l
+                         in zip(tabs, keys[i][name], keys[j][name])]
+                if [a * b for a, b in pairs] != [b * a for a, b in pairs]:
                     problems.append(
                         f"generators {ug.generator_names[i]}, "
                         f"{ug.generator_names[j]} do not commute in {name}"
@@ -279,7 +285,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     all_integral = True
     all_mrsw = True
     for exps in ug.exponent_vectors():
-        distinct.add(tuple(ug.element(exps).values()))
+        distinct.add(tuple(ug.key(exps).values()))
         if not any(exps):
             continue
         try:

@@ -76,7 +76,8 @@ def companion_cyclotomic(p: int) -> QMatrix:
 
 
 class BlockDiag:
-    """Block-diagonal matrix; products require identical block signatures."""
+    """Block-diagonal matrix; products require identical block signatures.
+    No command builds one; the tests' reference and the benchmark use it."""
 
     __slots__ = ("blocks",)
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .finitefield import fq_make, is_prime
+from .finitefield import check_odd_prime, fq_make
 
 
 ORDER_CAP = 100_000
@@ -170,8 +170,7 @@ class PSL2(GroupOracle):
         self.expected_class_sizes = [(q * q - 1) // 2] * 2
         if self.expected_order > ORDER_CAP:
             raise ValueError(f"PSL(2,{q}) exceeds the enumeration cap")
-        if not is_prime(p):
-            raise ValueError(f"q = {q} is not the square of an odd prime")
+        check_odd_prime(p)
         f = fq_make(p)
         field = list(f.elements())  # (a0, a1) pairs, in code order
         code = {e: i for i, e in enumerate(field)}
@@ -286,9 +285,9 @@ def enumerate_group(kind: str, q: int = 3) -> GroupOracle:
     """Enumerate PSL(2,q) (q = p^2) or PSL(3,3) from its definition."""
     if kind == "psl2":
         p = isqrt(q) if q >= 1 else 0
-        if p * p != q or p == 2:
+        if p * p != q:
             raise ValueError(f"q = {q} is not the square of an odd prime")
-        group = PSL2(p)  # tests the order cap before primality
+        group = PSL2(p)  # tests the order cap, then p
     elif kind == "psl3":
         if q != 3:
             raise ValueError("only PSL(3,3) is supported")

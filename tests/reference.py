@@ -13,9 +13,12 @@ from its definition instead, and is pinned against this.
 :func:`full_class_partition` splits a whole oracle group into conjugacy
 classes.  :func:`fq_pow` (the Euler criterion's power), :func:`matrix_pow`
 and :func:`block_trace` are the square-and-multiply powers and the block
-trace that no command needs.  :func:`direction_line_patterns` is the
-pattern cross-check walked once per direction, which the slope-class walk
-in `grunits.patterns` is pinned against.
+trace that no command needs.  :func:`element_blocks` assembles a unit
+group's element as block-diagonal matrices from its power tables; the
+unit group itself names elements by keys and never builds them.
+:func:`direction_line_patterns` is the pattern cross-check walked once per
+direction, which the slope-class walk in `grunits.patterns` is pinned
+against.
 """
 
 from __future__ import annotations
@@ -145,6 +148,14 @@ def matrix_pow(m: QMatrix, k: int) -> QMatrix:
 def block_trace(b: BlockDiag) -> Fraction:
     """The trace of a block diagonal: the sum of its blocks' traces."""
     return sum(block.trace() for block in b.blocks)
+
+
+def element_blocks(ug, exps: tuple[int, ...]) -> dict[str, BlockDiag]:
+    """The element's blocks per component, taken from the power tables."""
+    return {
+        c: BlockDiag(ug.powers[b][k] for b, k in zip(ug.bases[c], ks))
+        for c, ks in ug.block_exponents(exps).items()
+    }
 
 
 def direction_line_patterns(f, nonsquares) -> set[frozenset[int]]:

@@ -25,6 +25,7 @@ from grunits.patterns import gap_report, group_patterns
 from reference import (
     Assignment,
     block_trace,
+    element_blocks,
     linear_characters,
     multiplicity,
 )
@@ -132,7 +133,7 @@ def test_criterion_5_gap_counting(capsys):
 
 def test_criterion_6_psl33_construction(capsys):
     ug = build_psl33_units()
-    alpha = ug.element((1, 0, 0))
+    alpha = element_blocks(ug, (1, 0, 0))
     ok = block_trace(alpha["chi"]) == 9 and block_trace(alpha["phi"]) == -8
     report = verify_unit_group(ug)
     ok &= report["ok"]

@@ -374,6 +374,8 @@ def test_usage_errors(capsys):
     ["help-scan", "--group", "psl33", "--p", "7"],
     ["chartab", "--group", "psl33", "--p", "5"],
     ["oracle", "--group", "psl2", "--q", "4"],
+    # a composite p below the cap reaches PSL2's primality test
+    ["oracle", "--group", "psl2", "--q", "16"],
     ["construct", "psl33", "--p", "5", "--pattern", "1,2"],
     ["oracle", "--group", "psl2", "--q", "-9"],
     ["patterns", "--p", "29"],

@@ -15,7 +15,7 @@ from grunits.constructions import (
 from grunits.finitefield import fq_make
 from grunits.matrices import BlockDiag, QMatrix, companion_cyclotomic
 from grunits.patterns import balanced_patterns, group_patterns
-from reference import block_trace, matrix_pow
+from reference import block_trace, element_blocks, matrix_pow
 
 
 def test_bad_pattern_rejected():
@@ -42,11 +42,12 @@ def test_psl2_p7_counterexample_pattern():
 def test_psl2_generator_traces():
     ug = build_psl2_units(7, {1, 2, 4})
     eta = ug.table.char_by_name("eta")
-    u, v = ug.element((1, 0))["eta"], ug.element((0, 1))["eta"]
+    u = element_blocks(ug, (1, 0))["eta"]
+    v = element_blocks(ug, (0, 1))["eta"]
     assert block_trace(u) == eta.values["c"] == 4
     assert block_trace(v) == eta.values["d"] == -3
     for j in range(1, 7):
-        t = block_trace(ug.element((1, j))["eta"])
+        t = block_trace(element_blocks(ug, (1, j))["eta"])
         assert t == (eta.values["c"] if j in {1, 2, 4} else eta.values["d"])
 
 
@@ -115,7 +116,7 @@ def test_psl33_construction():
 
 def test_psl33_alpha_values():
     ug = build_psl33_units()
-    alpha = ug.element((1, 0, 0))
+    alpha = element_blocks(ug, (1, 0, 0))
     assert block_trace(alpha["chi"]) == 9
     assert block_trace(alpha["phi"]) == -8
     report = verify_unit_group(ug)
@@ -183,9 +184,12 @@ def _assert_matches_reference(ug, generators):
     reference = _multiplied_out(generators, ug.p)
     assert list(ug.exponent_vectors()) == sorted(reference)
     for exps, comp in reference.items():
-        assert ug.element(exps) == comp
+        assert element_blocks(ug, exps) == comp
         assert ug.traces(exps) == {c: block_trace(m)
                                    for c, m in comp.items()}
+    # the keys are exact: equal exactly when the multiplied-out elements are
+    for (e, a), (f, b) in product(reference.items(), repeat=2):
+        assert (ug.key(e) == ug.key(f)) == (a == b)
 
 
 @pytest.mark.parametrize("p,members", [
@@ -203,6 +207,16 @@ def test_psl33_exponent_vectors_match_products():
     _assert_matches_reference(build_psl33_units(), _psl33_generators())
 
 
+def test_keys_identify_generators_differing_only_in_the_trivial_block():
+    # u' is u with exponent 1 on the 1x1 identity block: the 25 raw block
+    # exponent tuples name only the 5 powers of u, and so must the keys
+    ug = build_psl2_units(5, {1, 2})
+    u, _v = ug.generator_exponents
+    bad = _rebuilt(ug, generator_exponents=[u, {"eta": (1,) + u["eta"][1:]}])
+    ref_u, _ref_v = _psl2_generators(5, {1, 2})
+    _assert_matches_reference(bad, [ref_u, ref_u])
+
+
 def _rebuilt(ug, bases=None, generator_exponents=None):
     """`ug` built again through the constructor, with other bases or
     generator exponents."""
@@ -216,6 +230,16 @@ def test_verify_rejects_trivial_generator():
     ug = build_psl2_units(5, {1, 2})
     _u, v = ug.generator_exponents
     bad = _rebuilt(ug, generator_exponents=[{"eta": (0, 0, 0, 0)}, v])
+    report = verify_unit_group(bad)
+    assert "generator u does not have order 5 in eta" in report["problems"]
+    assert not report["ok"]
+
+
+def test_verify_rejects_generator_trivial_up_to_the_identity_block():
+    # exponent 1 on the 1x1 identity block alone still gives the identity
+    ug = build_psl2_units(5, {1, 2})
+    _u, v = ug.generator_exponents
+    bad = _rebuilt(ug, generator_exponents=[{"eta": (1, 0, 0, 0)}, v])
     report = verify_unit_group(bad)
     assert "generator u does not have order 5 in eta" in report["problems"]
     assert not report["ok"]

@@ -1,7 +1,10 @@
-"""Which verdicts each named fault in the PSL(3,3) table reaches.
+"""Which verdicts each named fault reaches.
 
-Every command that reads the table, and the oracle that reads none, runs in
-process on a damaged `psl33.tbl` in GRS_DATA_DIR.  A cell is "invalid"
+Two matrices.  In the first, every command that reads the PSL(3,3) table,
+and the oracle that reads none, runs in process on a damaged `psl33.tbl`
+in GRS_DATA_DIR.  In the second, the unit-group builders the CLI calls
+return a faulty presentation, and `construct` (both modes) and
+`invariants`, which builds both groups, run on it.  A cell is "invalid"
 (exit 1, the table fails to load), "fails" (exit 1, the report's verdict is
 false) or, for exit 0, the reason no check sees the fault: a blind spot is
 then a written-down cell, and the change that closes one flips it here.
@@ -11,8 +14,11 @@ import re
 
 import pytest
 
+from grunits import cli
 from grunits.chardata import data_dir
 from grunits.cli import main
+from grunits.constructions import UnitGroup
+from grunits.matrices import QMatrix
 
 COMMANDS = [
     ["chartab", "--group", "psl33"],
@@ -69,12 +75,82 @@ def test_fault_matrix(fault, tmp_path, monkeypatch, capsys):
     assert damaged != text
     (tmp_path / "psl33.tbl").write_text(damaged, encoding="utf-8")
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    assert _outcomes(COMMANDS, capsys) == _expected(cells)
+
+
+def _outcomes(commands, capsys) -> list:
+    """Each command's exit code, with exit 1 told apart as "invalid" or
+    "fails"."""
     seen = []
-    for argv in COMMANDS:
+    for argv in commands:
         code = main(argv)
         err = capsys.readouterr().err
         seen.append(code if code != 1 else
                     "invalid" if err.startswith("validation failure: ")
                     else "fails")
-    assert seen == [cell if cell in ("invalid", "fails") else 0
-                    for cell in cells]
+    return seen
+
+
+def _expected(cells) -> list:
+    return [cell if cell in ("invalid", "fails") else 0 for cell in cells]
+
+
+def _chi_base(i: int, base: QMatrix):
+    """Replace block i of the chi component's bases by `base`."""
+    def edit(bases, gens):
+        chi = list(bases["chi"])
+        chi[i] = base
+        return {**bases, "chi": tuple(chi)}, gens
+    return edit
+
+
+# [[1, 1], [0, 1]] has infinite order, so no exponent of it is read mod 3
+UNIPOTENT = QMatrix([[1, 1], [0, 1]])
+
+# fault -> (group, edit of (bases, generator exponents), one cell each for
+# construct, construct --verify and invariants)
+PRESENTATION_FAULTS = {
+    "alpha-zero": (
+        "psl33",
+        lambda bases, gens: (bases, [{c: (0,) * len(ks)
+                                      for c, ks in gens[0].items()},
+                                     *gens[1:]]),
+        ["fails"] * 3),
+    "beta-repeated": (
+        "psl33",
+        lambda bases, gens: (bases, [gens[0], gens[1], gens[1]]),
+        ["fails"] * 3),
+    "chi-last-base-unipotent": ("psl33", _chi_base(-1, UNIPOTENT),
+                                ["fails"] * 3),
+    "chi-first-base-unipotent": (
+        "psl33", _chi_base(0, UNIPOTENT),
+        ["every generator has exponent 0 in that block, so the block is I "
+         "in every element and the group is unchanged"] * 3),
+    # u' is u with exponent 1 on the 1x1 identity block: the same matrix,
+    # so the group has 5 elements, not 25
+    "u-prime": (
+        "psl2",
+        lambda bases, gens: (bases, [gens[0],
+                                     {"eta": (1,) + gens[0]["eta"][1:]}]),
+        ["fails"] * 3),
+}
+
+
+@pytest.mark.parametrize("fault", PRESENTATION_FAULTS)
+def test_presentation_fault_matrix(fault, monkeypatch, capsys):
+    kind, edit, cells = PRESENTATION_FAULTS[fault]
+    name = f"build_{kind}_units"
+    build = getattr(cli, name)
+
+    def faulty(*args):
+        ug = build(*args)
+        bases, gens = edit(ug.bases, ug.generator_exponents)
+        return UnitGroup(ug.table, ug.p, ug.support, ug.distinguished,
+                         ug.generator_names, bases, gens, ug.pattern)
+
+    monkeypatch.setattr(cli, name, faulty)
+    # invariants builds the psl2 group at p = 5 with pattern {1, 2}
+    construct = (["construct", "psl33"] if kind == "psl33" else
+                 ["construct", "psl2", "--p", "5", "--pattern", "1,2"])
+    commands = [construct, [*construct, "--verify"], ["invariants"]]
+    assert _outcomes(commands, capsys) == _expected(cells)
