@@ -2,8 +2,9 @@
 
 For PSL(2,p^2) the slice is generated from the classical class structure;
 for PSL(3,3) it is loaded from a shipped data file.  Neither source is
-trusted: both are validated by exact column orthogonality, and class sizes
-are cross-checked against brute-force group enumeration elsewhere.
+trusted: both are validated by exact column orthogonality, the PSL(3,3)
+classes a and b must have the ATLAS sizes of 3A and 3B, and the tests
+check every class size against brute-force group enumeration.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from .finitefield import check_odd_prime
 # at the largest prime the HeLP scan has been run at
 MAX_PRIME = 101
 
+# PSL(3,3) class id -> (element order, class size): ATLAS 3A, the
+# transvections, and 3B, the regular unipotents
+PSL33_ORDER3 = {"a": (3, 104), "b": (3, 624)}
+
 
 def format_rational(x: Fraction | int) -> str:
     """The exact value as "a/b", or as "a" for an integer."""
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 class ValidationError(Exception):
@@ -226,11 +231,14 @@ def data_dir() -> str:
 
 
 def psl33_slice() -> TableSlice:
-    """The shipped PSL(3,3) slice on classes {1, a, b}."""
+    """The shipped PSL(3,3) slice on classes {1, a, b}, with a and b
+    checked against `PSL33_ORDER3`, so relabelled columns fail to load."""
     t = load_table(os.path.join(data_dir(), "psl33.tbl"))
-    orders = {c.id: c.element_order for c in t.classes}
-    if orders.get("a") != 3 or orders.get("b") != 3:
-        raise ValidationError(f"{t.group} table lacks class a or b of order 3")
+    found = {c.id: (c.element_order, c.class_size) for c in t.classes}
+    for cid, (order, size) in PSL33_ORDER3.items():
+        if found.get(cid) != (order, size):
+            raise ValidationError(f"{t.group} table lacks class {cid} of "
+                                  f"order {order} and size {size}")
     return t
 
 

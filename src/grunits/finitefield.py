@@ -8,7 +8,9 @@ report reproducible.
 Square status is a membership test in `Fq.squares`, the set {y*y : y != 0}
 built once per field when the field is made (`fq_make` caches one field per
 p).  No Euler criterion is involved; the tests keep the power with
-exponent (q-1)/2 as the reference they compare against.
+exponent (q-1)/2 as the reference they compare against.  The field checks
+on construction that the table holds (q-1)/2 squares, which is true
+exactly when w^2 - t is irreducible, so a square t fails at once.
 
 `check_odd_prime` is the one statement of the rule on p that every layer
 taking p applies, with the layer's cap: p must be an odd prime, since at
@@ -61,6 +63,11 @@ class Fq:
         self.one: Elem = (1, 0)
         self.squares: frozenset[Elem] = frozenset(
             self.mul(y, y) for y in self.elements() if y != self.zero)
+        # exactly half the units are squares exactly when w^2 - t is
+        # irreducible; over F_p x F_p the count is (p-1)(p+3)/4
+        if len(self.squares) != (self.q - 1) // 2:
+            raise AssertionError(f"w^2 - {self.t} is reducible over F_{p}: "
+                                 f"F_p[w] is not a field")
 
     @staticmethod
     def _smallest_nonresidue(p: int) -> int:

@@ -39,29 +39,24 @@ Point = tuple[int, ...]
 def subgroup_points(p: int, rank: int) -> list[Point]:
     """Canonical generators of the cyclic subgroups of C_p^rank.
 
-    Normalized so the first nonzero coordinate is 1; lexicographic order.
+    Normalized so the first nonzero coordinate is 1; lexicographic order,
+    so the points whose leading 1 lies furthest right come first.
     """
-    points = []
-    for v in itertools.product(range(p), repeat=rank):
-        if any(v):
-            lead = next(c for c in v if c)
-            if lead == 1:
-                points.append(v)
-    return points
+    return [(0,) * k + (1,) + tail for k in reversed(range(rank))
+            for tail in itertools.product(range(p), repeat=rank - 1 - k)]
 
 
 def hyperplane_table(p: int, rank: int) -> list[tuple[Point, frozenset[int]]]:
-    """For each normalized nonzero functional e, the point indices it kills."""
-    points = subgroup_points(p, rank)
-    table = []
-    for e in points:  # dual space points, same normalization
-        inside = frozenset(
-            i
-            for i, v in enumerate(points)
-            if sum(a * b for a, b in zip(e, v)) % p == 0
-        )
-        table.append((e, inside))
-    return table
+    """For each normalized nonzero functional e, the point indices it kills.
+
+    Rank 2 or 3: points and functionals are padded with leading zeros to
+    three coordinates, so each incidence is one integer dot product.
+    """
+    points = subgroup_points(p, rank)  # dual space points, same normalization
+    padded = [(0,) * (3 - rank) + v for v in points]
+    return [(e, frozenset(i for i, (v0, v1, v2) in enumerate(padded)
+                          if (e0 * v0 + e1 * v1 + e2 * v2) % p == 0))
+            for e, (e0, e1, e2) in zip(points, padded)]
 
 
 def _int_rows(theta_set: list[CharSlice], class_ids) -> list[tuple[str, int, int, int]]:
@@ -131,6 +126,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     rows = _int_rows(theta_set, class_ids)
     kernels = [("ker=" + ",".join(map(str, e)), sum(1 << i for i in inside))
                for e, inside in hyperplane_table(p, rank)]
+    lines = [line for _chi, line in kernels]
     n = len(kernels)  # as many kernels as cyclic subgroups
     size = p ** rank
     line_size = (p ** (rank - 1) - 1) // (p - 1)  # subgroups per kernel
@@ -142,7 +138,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                  "counts, so surviving counts are settled by exhausting "
                  "all assignments with that count"]
     else:
-        if sorted(mask for _chi, mask in kernels) != bits:
+        if sorted(lines) != bits:
             raise AssertionError("count symmetry failed for rank 2")
         notes = ["rank 2: representative assignments suffice "
                  "(count symmetry verified this run)"]
@@ -163,8 +159,10 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
             candidates = (map(sum, itertools.combinations(bits, x))
                           if exhaustive else [sum(bits[:x])])
             for checked, mask in enumerate(candidates, 1):
-                if all((mask & line).bit_count() in allowed
-                       for _chi, line in kernels):
+                for line in lines:
+                    if (mask & line).bit_count() not in allowed:
+                        break
+                else:
                     kernel_ok = True
                     break
         if kernel_ok:

@@ -25,10 +25,15 @@ MAX_MISSING = 4096
 
 
 def _pattern_of(f, lam, mu) -> frozenset[int]:
-    """{i in 1..p-1 : lam + i*mu is a square}, read off `f.squares`."""
+    """{i in 1..p-1 : lam + i*mu is a square}, read off `f.squares`
+    while stepping lam + i*mu by mu."""
     (a, b), (c, d), p, squares = lam, mu, f.p, f.squares
-    return frozenset(i for i in range(1, p)
-                     if ((a + i * c) % p, (b + i * d) % p) in squares)
+    pattern = []
+    for i in range(1, p):
+        a, b = (a + c) % p, (b + d) % p
+        if (a, b) in squares:
+            pattern.append(i)
+    return frozenset(pattern)
 
 
 def _all_pair_patterns(f, nonsquares) -> set[frozenset[int]]:
@@ -49,10 +54,17 @@ def _all_pair_patterns(f, nonsquares) -> set[frozenset[int]]:
     for (s, t), ks in scales.items():
         masks = rotated.setdefault(frozenset(ks), set())
         for a in range(p):
-            line = sum(1 << y for y in range(p) if
-                       ((a * t + y * s) % p, (a - a * t + y * t) % p) in squares)
-            masks.update(((line >> y) | (line << (p - y))) & keep
-                         for y in range(p) if line >> y & 1)
+            # step (u, v) by m along the line; t is 0 or 1, so v (a or y)
+            # stays below p
+            u, v, line = a * t, a - a * t, 0
+            for y in range(p):
+                if (u % p, v) in squares:
+                    line |= 1 << y
+                u, v = u + s, v + t
+            line |= line << p  # bits y .. y+p-1 are the line rotated by y
+            for y in range(p):
+                if line >> y & 1:
+                    masks.add(line >> y & keep)
     out = set()
     for ks, masks in rotated.items():
         closed, orbits = all(a * b % p in ks for a in ks for b in ks), set()

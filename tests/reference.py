@@ -7,9 +7,13 @@
 computed verbatim over Q(zeta_p), and :func:`_check_flags` is the
 row-by-row kernel test on a 0/1 flag list.  The scan in
 `grunits.helpengine` uses neither: it works from the closed form on bit
-masks, and the tests pin it against these.  :func:`closure` finds a
-group by breadth-first closure under its generators; the oracle lists it
-from its definition instead, and is pinned against this.
+masks, and the tests pin it against these.  :func:`normalized_points` and
+:func:`incidence_table` are the subgroup points filtered out of all of
+C_p^rank and the kernel incidences by a generic dot product, which the
+scan's direct listing and padded integer dot products are pinned against.
+:func:`closure` finds a group by breadth-first closure under its
+generators; the oracle lists it from its definition instead, and is
+pinned against this.
 :func:`full_class_partition` splits a whole oracle group into conjugacy
 classes.  :func:`fq_pow` (the Euler criterion's power), :func:`matrix_pow`
 and :func:`block_trace` are the square-and-multiply powers and the block
@@ -74,6 +78,22 @@ def multiplicity(theta: CharSlice, a: Assignment, chi: Point) -> Cyclotomic:
         e = sum(c * x for c, x in zip(chi, w)) % p
         total = total + cyclo(p, -e) * value
     return total * Fraction(1, p ** rank)
+
+
+def normalized_points(p: int, rank: int) -> list[Point]:
+    """The nonzero vectors of C_p^rank whose first nonzero coordinate is 1,
+    in lexicographic order."""
+    return [v for v in itertools.product(range(p), repeat=rank)
+            if any(v) and next(c for c in v if c) == 1]
+
+
+def incidence_table(p: int, rank: int) -> list[tuple[Point, frozenset[int]]]:
+    """For each normalized functional e, the indices of the normalized
+    points v with e . v = 0 mod p."""
+    points = normalized_points(p, rank)
+    return [(e, frozenset(i for i, v in enumerate(points)
+                          if sum(a * b for a, b in zip(e, v)) % p == 0))
+            for e in points]
 
 
 def _check_flags(rows, flags, p: int, size: int, hyperplanes):

@@ -1,16 +1,21 @@
 import os
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from conftest import PSL33_DAMAGES
 
 from grunits.chardata import (
+    PSL33_ORDER3,
     ValidationError,
+    format_rational,
     load_table,
     mixed_value_decomposition,
     psl2_slice,
     psl33_slice,
     validate_orthogonality,
 )
+from grunits.oracle import cached_group
 
 
 def test_psl2_slice_p3_shape():
@@ -147,3 +152,36 @@ def test_grs_data_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     t = psl33_slice()
     assert t.group_order == 5616
+
+
+def _rank_minus_identity(rep) -> int:
+    """The rank over F_3 of g - I for an order-3 element g of PSL(3,3),
+    given as its row codes 9a + 3b + c: 1 for a transvection, else 2."""
+    m = [[(code // 3 ** (2 - j) % 3 - (i == j)) % 3 for j in range(3)]
+         for i, code in enumerate(rep)]
+    minors = [m[i][k] * m[j][l] - m[i][l] * m[j][k]
+              for i, j in combinations(range(3), 2)
+              for k, l in combinations(range(3), 2)]
+    return 1 if all(x % 3 == 0 for x in minors) else 2
+
+
+def test_psl33_class_labels_match_enumeration():
+    # a names the transvections (g - I of rank 1), b the regular unipotents
+    g = cached_group("psl3", 3)
+    enumerated = {"ab"[_rank_minus_identity(rep) - 1]:
+                  (g.element_order(rep), size)
+                  for rep, size in g.order_p_classes()}
+    assert enumerated == PSL33_ORDER3 == {"a": (3, 104), "b": (3, 624)}
+    assert {c.id: (c.element_order, c.class_size)
+            for c in psl33_slice().classes if c.id != "1"} == PSL33_ORDER3
+
+
+def test_format_rational_matches_fraction_text():
+    for x in [*range(-1000, 1001), 10 ** 40, -(3 ** 90), 2 ** 61 - 1,
+              Fraction(3, 7), Fraction(-10, 4), Fraction(6, 3),
+              Fraction(0, 5)]:
+        assert format_rational(x) == str(Fraction(x)), x
+
+
+def test_format_rational_of_a_bool():
+    assert (format_rational(True), format_rational(False)) == ("1", "0")

@@ -1,23 +1,27 @@
 """Which verdicts each named fault reaches.
 
-Two matrices.  In the first, every command that reads the PSL(3,3) table,
-and the oracle that reads none, runs in process on a damaged `psl33.tbl`
-in GRS_DATA_DIR.  In the second, the unit-group builders the CLI calls
-return a faulty presentation, and `construct` (both modes) and
-`invariants`, which builds both groups, run on it.  A cell is "invalid"
-(exit 1, the table fails to load), "fails" (exit 1, the report's verdict is
-false) or, for exit 0, the reason no check sees the fault: a blind spot is
-then a written-down cell, and the change that closes one flips it here.
+Three matrices.  In the first, every command that reads the PSL(3,3)
+table, and the oracle that reads none, runs in process on a damaged
+`psl33.tbl` in GRS_DATA_DIR.  In the second, the unit-group builders the
+CLI calls return a faulty presentation, and `construct` (both modes) and
+`invariants`, which builds both groups, run on it.  In the third, F_(p^2)
+is built on a square t, so F_p[w] is not a field, and every command that
+works at that p runs.  A cell is "invalid" (exit 1, the table fails to
+load), "fails" (exit 1, the report's verdict is false), "raises: " and
+the message of the AssertionError the command stops with, or, for exit 0,
+the reason no check sees the fault: a blind spot is then a written-down
+cell, and the change that closes one flips it here.
 """
 
 import re
 
 import pytest
 
-from grunits import cli
+from grunits import cli, oracle
 from grunits.chardata import data_dir
 from grunits.cli import main
 from grunits.constructions import UnitGroup
+from grunits.finitefield import Fq, fq_make
 from grunits.matrices import QMatrix
 
 COMMANDS = [
@@ -53,16 +57,7 @@ FAULTS = {
         lambda text: re.sub(r"^class ([ab]) ",
                             lambda m: f"class {'ba'['ab'.index(m[1])]} ",
                             text, flags=re.M),
-        ["chartab checks orthogonality, which no renaming of columns changes",
-         "help-scan sees the same columns under swapped names, and still "
-         "finds no feasible x",
-         "construct reads no class size, so its units land on the renamed "
-         "classes and every check passes",
-         "construct --verify counts elements per class name, and no check "
-         "ties a name to its class size",
-         "invariants checks orthogonality and the decomposition, which are "
-         "symmetric in a and b",
-         NO_TABLE]),
+        ["invalid"] * 5 + [NO_TABLE]),
 }
 
 
@@ -80,10 +75,13 @@ def test_fault_matrix(fault, tmp_path, monkeypatch, capsys):
 
 def _outcomes(commands, capsys) -> list:
     """Each command's exit code, with exit 1 told apart as "invalid" or
-    "fails"."""
+    "fails", or "raises: " and the message of an AssertionError."""
     seen = []
     for argv in commands:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except AssertionError as exc:
+            code = f"raises: {exc}"
         err = capsys.readouterr().err
         seen.append(code if code != 1 else
                     "invalid" if err.startswith("validation failure: ")
@@ -92,7 +90,8 @@ def _outcomes(commands, capsys) -> list:
 
 
 def _expected(cells) -> list:
-    return [cell if cell in ("invalid", "fails") else 0 for cell in cells]
+    return [cell if cell in ("invalid", "fails") or cell.startswith("raises: ")
+            else 0 for cell in cells]
 
 
 def _chi_base(i: int, base: QMatrix):
@@ -154,3 +153,43 @@ def test_presentation_fault_matrix(fault, monkeypatch, capsys):
                  ["construct", "psl2", "--p", "5", "--pattern", "1,2"])
     commands = [construct, [*construct, "--verify"], ["invariants"]]
     assert _outcomes(commands, capsys) == _expected(cells)
+
+
+NOT_A_FIELD = "raises: w^2 - 2 is reducible over F_7: F_p[w] is not a field"
+
+# command at p = 7 -> its cell when the field is built on t = 2 = 3^2 mod 7:
+# its square table holds 15 elements, not 24, and a Valenti search on it
+# would report a false null
+FIELD_FAULT = {
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4"):
+        "construct without --verify runs no Valenti search, and builds and "
+        "checks its units over Q, so it reads no field",
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4", "--verify"):
+        NOT_A_FIELD,
+    ("patterns", "--p", "7"): NOT_A_FIELD,
+    ("oracle", "--group", "psl2", "--q", "49"): NOT_A_FIELD,
+    ("invariants",): NOT_A_FIELD,
+    ("help-scan", "--group", "psl2", "--p", "7"):
+        "help-scan reads the generated PSL(2,49) character slice, whose "
+        "values are closed forms in p",
+    ("chartab", "--group", "psl2", "--p", "7"):
+        "chartab reads the generated PSL(2,49) character slice, whose "
+        "values are closed forms in p",
+}
+
+
+@pytest.fixture
+def fresh_fields():
+    """Drop the fields and groups cached before and during the test, so
+    none built on a faulty field outlives it."""
+    fq_make.cache_clear()
+    oracle.cached_group.cache_clear()
+    yield
+    fq_make.cache_clear()
+    oracle.cached_group.cache_clear()
+
+
+def test_field_fault_matrix(fresh_fields, monkeypatch, capsys):
+    monkeypatch.setattr(Fq, "_smallest_nonresidue", staticmethod(lambda p: 2))
+    commands = [list(argv) for argv in FIELD_FAULT]
+    assert _outcomes(commands, capsys) == _expected(FIELD_FAULT.values())

@@ -19,8 +19,10 @@ from reference import (
     Assignment,
     UnassignedClass,
     _check_flags,
+    incidence_table,
     linear_characters,
     multiplicity,
+    normalized_points,
 )
 
 
@@ -34,6 +36,14 @@ def _rank2_assignment(p, x, first="c", second="d"):
 def test_subgroup_points_count():
     assert len(subgroup_points(7, 2)) == 8
     assert len(subgroup_points(3, 3)) == 13
+
+
+@pytest.mark.parametrize("p, rank", [(p, 2) for p in (3, 5, 7, 11, 13, 17,
+                                                      19, 23)]
+                         + [(3, 3), (5, 3)])
+def test_points_and_incidences_match_the_generic_reference(p, rank):
+    assert subgroup_points(p, rank) == normalized_points(p, rank)
+    assert hyperplane_table(p, rank) == incidence_table(p, rank)
 
 
 def test_assignment_constant_on_cyclic_subgroups():
@@ -273,6 +283,30 @@ def test_intersection_counts_decide_every_rank3_assignment(theta_set,
         assert by_rows == by_counts, flags
         passing = passing or by_rows
     assert passing == some_pass
+
+
+def test_rank3_scan_stops_at_the_first_passing_assignment(monkeypatch):
+    # the report never shows how many candidates follow a passing one, so
+    # count the assignments drawn per x against the row-by-row reference
+    real = itertools.combinations
+    drawn = Counter()
+
+    def counting(items, x):
+        for combo in real(items, x):
+            drawn[x] += 1
+            yield combo
+
+    monkeypatch.setattr(helpengine.itertools, "combinations", counting)
+    scan = feasible_distributions(SYNTHETIC, 3, 3, ("a", "b"))
+    rows, hyperplanes = _int_rows(SYNTHETIC, ("a", "b")), hyperplane_table(3, 3)
+    first_pass = {}
+    for x in scan["feasible_kernel_only"]:
+        first_pass[x] = next(
+            k for k, subset in enumerate(real(range(13), x), 1)
+            if _check_flags(rows, [int(i in subset) for i in range(13)], 3,
+                            27, hyperplanes) is None)
+    assert {x: drawn[x] for x in first_pass} == first_pass
+    assert first_pass[3] not in (1, comb(13, 3))
 
 
 def _row_loop_scan(theta_set, p, rank, class_ids):
