@@ -7,8 +7,11 @@ judge raises a plain `ValueError` there (no layer defines a subclass),
 which the command turns into a usage error.  Every report field is exact
 (integers or "a/b" strings); the only non-deterministic field is
 wall_clock_s, which callers comparing reports should drop.  Exit codes:
-0 all verdicts pass / enumeration completed, 1 a validation failed (the
-witness is printed), or the reader closed stdout before the report was
+0 all verdicts pass / enumeration completed, 1 a verdict failed (the
+report and its witness are printed), an input table or an internal check
+failed (`ValidationError`, or the `AssertionError` of a check such as the
+field check or the pattern cross-check: `validation failure: MSG` on
+stderr and no report), or the reader closed stdout before the report was
 written (`| head`; nothing is printed), 2 usage error, missing data file
 or a --json PATH that cannot be written.
 
@@ -342,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader is gone
         _drop_stdout()
         return 1
-    except ValidationError as exc:
+    except (ValidationError, AssertionError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -28,11 +28,12 @@ element iff both are non-negative) are read off the pair.  The
 distinguished rows are looked up, and checked to separate x and y, once
 per group, so a table from GRS_DATA_DIR failing either is a
 `ValidationError`.  For PSL(2,p^2) verification also reads the mixed-class
-pattern off the same solved classes; the Valenti search scans the
-non-squares mu of F_(p^2) for a Sylow generator pair (1, mu) realizing
-that pattern.  The other character values carry no information of their
-own: `element_profile` synthesizes them from the solved augmentations, as
-the reference that tests compare against.
+pattern off the same solved classes; the Valenti search looks that
+pattern up in the one cross-checked table of `patterns.realizers`, whose
+entry is the first non-square mu of F_(p^2) with a Sylow generator pair
+(1, mu) realizing it.  The other character values carry no information
+of their own: `element_profile` synthesizes them from the solved
+augmentations, as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .chardata import (CharSlice, TableSlice, ValidationError,
                        format_rational, psl2_slice, psl33_slice)
 from .finitefield import check_odd_prime, fq_make
 from .matrices import QMatrix, companion_cyclotomic
-from .patterns import _pattern_of
+from .patterns import realizers
 
 
 class Inconsistent(Exception):
@@ -352,18 +353,14 @@ def valenti_search(target: frozenset[int], p: int) -> dict | None:
     and d).  A witness is a group-side generator pair realizing it; pattern
     equality is exactly value preservation on every element because powers
     stay in their generator's class.  Square scaling leaves a pattern
-    invariant, so g = 1 and the non-squares mu are scanned in field order
-    for h; None, when no mu realizes the target, certifies that no such
-    isomorphism exists.
+    invariant, so g = 1, and h is the first non-square mu in field order
+    that `patterns.realizers` lists for the target; None, when the
+    cross-checked table has no such mu, certifies that no such isomorphism
+    exists.
     """
+    mu = realizers(p).get(target)
+    if mu is None:
+        return None
     f = fq_make(p)
-    for mu in f.elements():
-        if mu == f.zero or f.is_square(mu):
-            continue
-        if _pattern_of(f, f.one, mu) == target:
-            return {
-                "pattern": sorted(target),
-                "g": f.format(f.one),
-                "h": f.format(mu),
-            }
-    return None
+    return {"pattern": sorted(target), "g": f.format(f.one),
+            "h": f.format(mu)}

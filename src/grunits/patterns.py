@@ -6,10 +6,14 @@ lambda is a square of F_(p^2)^* (validated against brute-force conjugacy
 in the enumerated group for small p).  A pair (g, h) with g of square and
 h of non-square parameter realizes the pattern {i : g + i*h has square
 parameter}.  Square scaling leaves the pattern invariant, so g may be
-normalized to 1; the full (lambda, mu) enumeration is kept as an internal
-cross-check, which reads each line of F_(p^2) once per slope class of
-directions, not once per direction (O(p^3) square look-ups).  p is capped
-at MAX_PRIME, the largest prime at which the tests check the count.
+normalized to 1: `realizers` scans the non-squares mu once and keeps, per
+pattern, the first mu in field order realizing it with g = 1.  That one
+table answers every realizability question (`group_patterns`,
+`gap_report`, the Valenti search), and it is returned only after the full
+(lambda, mu) enumeration agrees with its patterns; that cross-check reads
+each line of F_(p^2) once per slope class of directions, not once per
+direction (O(p^3) square look-ups).  p is capped at MAX_PRIME, the largest
+prime at which the tests check the count.
 """
 
 from __future__ import annotations
@@ -76,15 +80,24 @@ def _all_pair_patterns(f, nonsquares) -> set[frozenset[int]]:
     return out
 
 
-def group_patterns(p: int) -> set[frozenset[int]]:
-    """All patterns realized by pairs (g, h), g square class, h non-square."""
+def realizers(p: int) -> dict[frozenset[int], tuple[int, int]]:
+    """Each pattern realized by a pair (g, h), g square class, h non-square,
+    with the first non-square mu in field order whose pair (1, mu) realizes
+    it; the patterns are checked against every (lambda, mu) pair first."""
     check_odd_prime(p, MAX_PRIME)
     f = fq_make(p)
     nonsquares = [e for e in f.elements() if e != f.zero and not f.is_square(e)]
-    normalized = {_pattern_of(f, f.one, mu) for mu in nonsquares}
-    if _all_pair_patterns(f, nonsquares) != normalized:
+    table = {}
+    for mu in nonsquares:
+        table.setdefault(_pattern_of(f, f.one, mu), mu)
+    if _all_pair_patterns(f, nonsquares) != table.keys():
         raise AssertionError("square-scaling normalization failed")
-    return normalized
+    return table
+
+
+def group_patterns(p: int) -> set[frozenset[int]]:
+    """All patterns realized by pairs (g, h), g square class, h non-square."""
+    return set(realizers(p))
 
 
 def balanced_patterns(p: int) -> list[frozenset[int]]:

@@ -86,8 +86,9 @@ def test_valenti_search_small_p_always_witnessed(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_valenti_search_agrees_with_group_patterns(p):
-    # group_patterns, with its full (lambda, mu) cross-check, is the
-    # reference for which balanced patterns a Sylow pair realizes
+    # valenti_search and group_patterns read one table, so their agreement
+    # only shows that they read it alike; the independent part is the
+    # field arithmetic below, which checks that (1, h) realizes the target
     f = fq_make(p)
     realizable = group_patterns(p)
     for target in balanced_patterns(p):

@@ -1,16 +1,20 @@
 """Which verdicts each named fault reaches.
 
-Three matrices.  In the first, every command that reads the PSL(3,3)
+Five matrices.  In the first, every command that reads the PSL(3,3)
 table, and the oracle that reads none, runs in process on a damaged
 `psl33.tbl` in GRS_DATA_DIR.  In the second, the unit-group builders the
 CLI calls return a faulty presentation, and `construct` (both modes) and
 `invariants`, which builds both groups, run on it.  In the third, F_(p^2)
 is built on a square t, so F_p[w] is not a field, and every command that
-works at that p runs.  A cell is "invalid" (exit 1, the table fails to
-load), "fails" (exit 1, the report's verdict is false), "raises: " and
-the message of the AssertionError the command stops with, or, for exit 0,
-the reason no check sees the fault: a blind spot is then a written-down
-cell, and the change that closes one flips it here.
+works at that p runs.  In the fourth, F_49's square table misses one
+square, and every command that reads it runs.  In the fifth, the oracle
+groups multiply wrongly.  A cell is "fails" (exit 1, the report is
+printed and its verdict is false), "invalid: " and the start of the
+message of a validation failure (exit 1, no report, `validation
+failure: MSG` on stderr: a table that fails to load, or an internal
+check that stops the command), or, for exit 0, the reason no check sees
+the fault: a blind spot is then a written-down cell, and the change that
+closes one flips it here.
 """
 
 import re
@@ -23,6 +27,7 @@ from grunits.cli import main
 from grunits.constructions import UnitGroup
 from grunits.finitefield import Fq, fq_make
 from grunits.matrices import QMatrix
+from grunits.oracle import PSL2, PSL3
 
 COMMANDS = [
     ["chartab", "--group", "psl33"],
@@ -34,6 +39,7 @@ COMMANDS = [
 ]
 
 NO_TABLE = "oracle enumerates PSL(3,3) from matrices and reads no table"
+NOT_ORTHOGONAL = "invalid: orthogonality fails: "
 
 # fault -> (edit of the table text, one cell per command)
 FAULTS = {
@@ -47,17 +53,18 @@ FAULTS = {
     "ab-values-swapped": (
         lambda text: re.sub(r"^(char .* )(\S+) (\S+)$", r"\1\3 \2", text,
                             flags=re.M),
-        ["invalid"] * 5 + [NO_TABLE]),
+        [NOT_ORTHOGONAL] * 5 + [NO_TABLE]),
     "ab-sizes-swapped": (
         lambda text: text.replace("class a 3 104", "class a 3 624")
                          .replace("class b 3 624", "class b 3 104"),
-        ["invalid"] * 5 + [NO_TABLE]),
+        [NOT_ORTHOGONAL] * 5 + [NO_TABLE]),
     # values and sizes swapped together: the same table under other names
     "ab-relabelled": (
         lambda text: re.sub(r"^class ([ab]) ",
                             lambda m: f"class {'ba'['ab'.index(m[1])]} ",
                             text, flags=re.M),
-        ["invalid"] * 5 + [NO_TABLE]),
+        ["invalid: PSL(3,3) table lacks class a of order 3 and size 104"] * 5
+        + [NO_TABLE]),
 }
 
 
@@ -70,28 +77,26 @@ def test_fault_matrix(fault, tmp_path, monkeypatch, capsys):
     assert damaged != text
     (tmp_path / "psl33.tbl").write_text(damaged, encoding="utf-8")
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
-    assert _outcomes(COMMANDS, capsys) == _expected(cells)
+    assert _outcomes(COMMANDS, cells, capsys) == cells
 
 
-def _outcomes(commands, capsys) -> list:
-    """Each command's exit code, with exit 1 told apart as "invalid" or
-    "fails", or "raises: " and the message of an AssertionError."""
+def _outcomes(commands, cells, capsys) -> list:
+    """Each command's cell where its run matches it, else its exit code
+    and stderr, so that a mismatch shows what happened instead."""
     seen = []
-    for argv in commands:
-        try:
-            code = main(argv)
-        except AssertionError as exc:
-            code = f"raises: {exc}"
-        err = capsys.readouterr().err
-        seen.append(code if code != 1 else
-                    "invalid" if err.startswith("validation failure: ")
-                    else "fails")
+    for argv, cell in zip(commands, cells):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = f"[{argv[0]}] ok="
+        if cell == "fails":
+            match = code == 1 and f"{report}False" in out
+        elif cell.startswith("invalid: "):
+            match = (code == 1 and report not in out and err.startswith(
+                "validation failure: " + cell.removeprefix("invalid: ")))
+        else:
+            match = code == 0
+        seen.append(cell if match else f"exit {code}: {err}")
     return seen
-
-
-def _expected(cells) -> list:
-    return [cell if cell in ("invalid", "fails") or cell.startswith("raises: ")
-            else 0 for cell in cells]
 
 
 def _chi_base(i: int, base: QMatrix):
@@ -152,18 +157,18 @@ def test_presentation_fault_matrix(fault, monkeypatch, capsys):
     construct = (["construct", "psl33"] if kind == "psl33" else
                  ["construct", "psl2", "--p", "5", "--pattern", "1,2"])
     commands = [construct, [*construct, "--verify"], ["invariants"]]
-    assert _outcomes(commands, capsys) == _expected(cells)
+    assert _outcomes(commands, cells, capsys) == cells
 
 
-NOT_A_FIELD = "raises: w^2 - 2 is reducible over F_7: F_p[w] is not a field"
+NOT_A_FIELD = "invalid: w^2 - 2 is reducible over F_7: F_p[w] is not a field"
+NO_FIELD = ("construct without --verify runs no Valenti search, and builds "
+            "and checks its units over Q, so it reads no field")
 
 # command at p = 7 -> its cell when the field is built on t = 2 = 3^2 mod 7:
 # its square table holds 15 elements, not 24, and a Valenti search on it
 # would report a false null
 FIELD_FAULT = {
-    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4"):
-        "construct without --verify runs no Valenti search, and builds and "
-        "checks its units over Q, so it reads no field",
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4"): NO_FIELD,
     ("construct", "psl2", "--p", "7", "--pattern", "1,2,4", "--verify"):
         NOT_A_FIELD,
     ("patterns", "--p", "7"): NOT_A_FIELD,
@@ -192,4 +197,74 @@ def fresh_fields():
 def test_field_fault_matrix(fresh_fields, monkeypatch, capsys):
     monkeypatch.setattr(Fq, "_smallest_nonresidue", staticmethod(lambda p: 2))
     commands = [list(argv) for argv in FIELD_FAULT]
-    assert _outcomes(commands, capsys) == _expected(FIELD_FAULT.values())
+    cells = list(FIELD_FAULT.values())
+    assert _outcomes(commands, cells, capsys) == cells
+
+
+# the (lambda, mu) cross-check of the normalized scan
+NOT_CLOSED = "invalid: square-scaling normalization failed"
+
+# command at p = 7 -> its cell when F_49's square table misses 2 = 3^2: a
+# Valenti search reading the normalized scan alone would give {1,2,4} its
+# null from a wrong table
+SQUARE_FAULT = {
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4", "--verify"):
+        NOT_CLOSED,
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,3", "--verify"):
+        NOT_CLOSED,
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4"): NO_FIELD,
+    ("patterns", "--p", "7"): NOT_CLOSED,
+    # the line F_p^* * 1 holds 2 and 1, now of two square classes
+    ("invariants",): "invalid: line through (1, 0) is not homogeneous",
+}
+
+
+def test_square_table_fault_matrix(fresh_fields, capsys):
+    # fq_make caches the field, so every layer reads this table
+    field = fq_make(7)
+    field.squares = field.squares - {(2, 0)}
+    commands = [list(argv) for argv in SQUARE_FAULT]
+    cells = list(SQUARE_FAULT.values())
+    assert _outcomes(commands, cells, capsys) == cells
+
+
+ORACLE_COMMANDS = [
+    ["oracle", "--group", "psl2", "--q", "9"],
+    ["oracle", "--group", "psl3"],
+    ["invariants"],
+]
+
+# fault -> (group class, edit of a new group, one cell per command); the
+# faults of tests/test_oracle.py, made where every command builds its group
+ORACLE_FAULTS = {
+    # a power lands on -1, never on the canonical identity
+    "psl2-sign-rule-flipped": (
+        PSL2, lambda g: setattr(g, "_leads", [not v for v in g._leads]),
+        ["invalid: PSL(2,9): the powers of (0, 1, 1, 0) miss the identity "
+         "within the group order 360",
+         "PSL(3,3) has no sign rule",
+         # the square criterion's orbit walk first inverts the generator x(1)
+         "invalid: PSL(2,9): the powers of (3, 3, 0, 3) miss the identity "
+         "within the group order 360"]),
+    # the field sums (1, 0, 0) reduce to the row (1, 0, 1)
+    "psl3-mod3-entry": (
+        PSL3, lambda g: g._mod3.__setitem__(169, 10),
+        ["PSL(2,9) reads no PSL(3,3) table",
+         "invalid: PSL(3,3): the powers of (1, 6, 9) miss the identity "
+         "within the group order 5616",
+         "invariants checks only |PSL(3,3)| = 5616, and the listing, which "
+         "multiplies nothing, still has 5616 elements"]),
+}
+
+
+@pytest.mark.parametrize("fault", ORACLE_FAULTS)
+def test_oracle_fault_matrix(fault, fresh_fields, monkeypatch, capsys):
+    group, edit, cells = ORACLE_FAULTS[fault]
+    init = group.__init__
+
+    def faulty(self, *args):
+        init(self, *args)
+        edit(self)
+
+    monkeypatch.setattr(group, "__init__", faulty)
+    assert _outcomes(ORACLE_COMMANDS, cells, capsys) == cells

@@ -10,6 +10,7 @@ from grunits.patterns import (
     balanced_patterns,
     gap_report,
     group_patterns,
+    realizers,
 )
 from reference import direction_line_patterns, fq_pow
 
@@ -46,6 +47,16 @@ def test_group_patterns_match_euler_reference(p):
                   if e != f.zero and not _euler_is_square(f, e)]
     assert group_patterns(p) == {
         _euler_pattern_of(f, f.one, mu) for mu in nonsquares}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_realizers_keep_the_first_mu_in_field_order(p):
+    f = fq_make(p)
+    nonsquares = [e for e in f.elements()
+                  if e != f.zero and not _euler_is_square(f, e)]
+    for pattern, mu in realizers(p).items():
+        assert mu == next(nu for nu in nonsquares
+                          if _euler_pattern_of(f, f.one, nu) == pattern)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
