@@ -25,6 +25,18 @@ option present.  Anything else (`-h`, an abbreviation, `--opt=value`, a
 value starting with `-`, an unknown or missing token) goes to
 `build_parser().parse_args`, so argparse alone writes help and error
 text, and a well-formed command never imports argparse.
+
+Start-up: each command runs in a fresh interpreter, which compiles every
+grunits module it imports when bytecode is not cached.  Importing this
+module loads `chardata`, `finitefield`, `helpengine` and `patterns`, which
+the 1-3 ms `help-scan`, `patterns` and `chartab` runs use.  The unit-group
+layer (`constructions`, `matrices`) and the oracle load on the first call
+of one of the seven names bound by `_on_first_call`, so only `construct`,
+`oracle` and `invariants` compile them.  `json` and `fractions` stay
+eager: every command writes JSON and every table holds `Fraction`s, so
+deferring them would only move their import into each run, and
+perfbench/child.py imports both just after its start-up mark, where a
+deferral would show as a start-up saving that no command gets.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import json
 import os
 import sys
 import time
+from importlib import import_module
 from types import SimpleNamespace
 from typing import NoReturn
 
@@ -44,16 +57,27 @@ from .chardata import (
     psl33_slice,
     validate_orthogonality,
 )
-from .constructions import (
-    build_psl2_units,
-    build_psl33_units,
-    valenti_search,
-    verify_unit_group,
-)
-from .finitefield import square_lines
+from .finitefield import check_odd_prime, square_lines
 from .helpengine import feasible_distributions
-from .oracle import cached_group, check_square_criterion, enumerate_group
 from .patterns import gap_report, group_patterns
+
+
+def _on_first_call(layer: str, name: str):
+    """Stand-in for `name` in grunits.`layer` that imports the layer when it
+    is first called.  It is bound in this module, where the handlers look it
+    up, so tests and tracers can still replace it here."""
+    def call(*args):
+        return getattr(import_module(f"grunits.{layer}"), name)(*args)
+    return call
+
+
+build_psl2_units = _on_first_call("constructions", "build_psl2_units")
+build_psl33_units = _on_first_call("constructions", "build_psl33_units")
+verify_unit_group = _on_first_call("constructions", "verify_unit_group")
+valenti_search = _on_first_call("constructions", "valenti_search")
+cached_group = _on_first_call("oracle", "cached_group")
+check_square_criterion = _on_first_call("oracle", "check_square_criterion")
+enumerate_group = _on_first_call("oracle", "enumerate_group")
 
 
 def _emit(report: dict, json_path: str | None) -> int:
@@ -143,10 +167,15 @@ def cmd_construct(args):
         if args.p is None or args.pattern is None:
             _usage_error("construct psl2 requires --p and --pattern")
         members = _parse_pattern(args.pattern)
+        from .constructions import MAX_PRIME  # the build loads it anyway
+        try:
+            check_odd_prime(args.p, MAX_PRIME)
+        except ValueError as exc:
+            _usage_error(f"--p {args.p}: {exc}")
         try:
             ug = build_psl2_units(args.p, members)
         except ValueError as exc:
-            _usage_error(str(exc))
+            _usage_error(f"--pattern {args.pattern}: {exc}")
         params = {"kind": "psl2", "p": args.p, "pattern": sorted(members)}
     result = verify_unit_group(ug)
     if not result["ok"]:

@@ -160,6 +160,33 @@ def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "[patterns] ok=True", "[]"]
 
 
+# argv (None: the import alone) -> the lazily loaded layers it leaves loaded
+LAZY_LAYERS = {
+    None: [],
+    ("patterns", "--p", "3"): [],
+    ("help-scan", "--group", "psl2", "--p", "3"): [],
+    ("construct", "psl33"): ["constructions", "matrices"],
+    ("oracle", "--group", "psl2", "--q", "9"): ["oracle"],
+}
+
+
+@pytest.mark.parametrize("argv", LAZY_LAYERS, ids=str)
+def test_commands_load_only_the_layers_they_call(argv, tmp_path):
+    # the unit-group layer and the oracle are compiled on first use, so the
+    # commands that never call them do not pay for them at start-up
+    run = [] if argv is None else [*argv, "--json", str(tmp_path / "r.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, grunits.cli\n"
+         "if sys.argv[1:]: grunits.cli.main(sys.argv[1:])\n"
+         "print(sorted(name for name in ('constructions', 'cyclotomic', "
+         "'matrices', 'oracle') if f'grunits.{name}' in sys.modules))", *run],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "HOME": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(LAZY_LAYERS[argv])
+
+
 def _argparse_vars(parser, argv):
     try:
         return vars(parser.parse_args(argv))
@@ -237,6 +264,48 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         capture_output=True, text=True, timeout=60, cwd=root,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# argv -> span and leaf counts of the layers loaded on first call, as
+# perfbench/spans.py records them
+TRACED_COUNTS = {
+    ("construct", "psl33", "--verify"): {
+        "constructions.build": 1, "constructions.verify": 1,
+        "matrices.qmatrix_mul": 87, "partialaug.invert": 26},
+    ("construct", "psl2", "--p", "7", "--pattern", "1,2,4", "--verify"): {
+        "constructions.valenti": 1, "matrices.qmatrix_mul": 24,
+        "partialaug.invert": 48},
+    ("oracle", "--group", "psl2", "--q", "9"): {"oracle.enumerate_group": 1},
+    ("invariants",): {
+        "constructions.build": 2, "constructions.verify": 2,
+        "matrices.qmatrix_mul": 105, "partialaug.invert": 50,
+        "oracle.enumerate_group": 2, "oracle.square_criterion": 1},
+}
+
+
+@pytest.mark.parametrize("argv", TRACED_COUNTS, ids=" ".join)
+def test_benchmark_tracer_sees_the_layers_loaded_on_first_call(argv, tmp_path):
+    # the tracer wraps grunits.cli's names; a handler that imported the
+    # layer's function itself would bypass the wrapper, and its spans would
+    # silently vanish from the traced benchmark
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
+    root = os.path.dirname(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; "
+         "sys.path[:0] = sys.argv[1:3]; import spans, grunits.cli; "
+         "tracer = spans.Tracer(); spans.install(tracer); "
+         "code = grunits.cli.main(sys.argv[3:]); "
+         "print(json.dumps([code, tracer.counts]))",
+         os.path.join(root, "perfbench"), src, *argv,
+         "--json", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=60, cwd=root,
+        env={**os.environ, "HOME": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, counts = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    expected = TRACED_COUNTS[argv]
+    assert {name: counts.get(name) for name in expected} == expected
 
 
 def test_patterns(tmp_path):
@@ -335,14 +404,19 @@ def test_usage_errors(capsys):
         # p = 17 has C(16,8) = 12870 balanced patterns, above the 4096 listed
         (["patterns", "--p", "17", "--list-missing"],
          "--p 17: --list-missing lists at most 4096 balanced patterns"),
+        (["construct", "psl2", "--p", "7", "--pattern", "1,2"],
+         "--pattern 1,2: pattern must be a subset of 1..6 of size 3"),
+        (["construct", "psl2", "--p", "5", "--pattern", "1,2,3"],
+         "--pattern 1,2,3: pattern must be a subset of 1..4 of size 2"),
+        (["construct", "psl2", "--p", "17", "--pattern", "1"],
+         "--p 17: p capped at 13"),
+        (["construct", "psl2", "--p", "9", "--pattern", "1,2,4,5"],
+         "--p 9: p must be an odd prime"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "psl2", "--p", "7", "--pattern", "1,2"])
-    assert exc.value.code == 2
     for pattern, repeated in (("1,2,4,4", 4), ("1,1,2", 1)):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "psl2", "--p", "7", "--pattern", pattern])
