@@ -33,10 +33,16 @@ the 1-3 ms `help-scan`, `patterns` and `chartab` runs use.  The unit-group
 layer (`constructions`, `matrices`) and the oracle load on the first call
 of one of the seven names bound by `_on_first_call`, so only `construct`,
 `oracle` and `invariants` compile them.  `json` and `fractions` stay
-eager: every command writes JSON and every table holds `Fraction`s, so
-deferring them would only move their import into each run, and
-perfbench/child.py imports both just after its start-up mark, where a
-deferral would show as a start-up saving that no command gets.
+eager.  Every report goes through json's C string escaper (`_escape`) and
+a failed verdict's witness line through `json.dumps`, and every table
+holds `Fraction`s, so deferring them would only move their import into
+each run; perfbench/child.py also imports both just after its start-up
+mark, where a deferral would show as a start-up saving that no command
+gets.
+
+Reports are written by `_dumps`, byte for byte as `json.dumps(report,
+indent=2, sort_keys=True)` would write them, but in one direct pass:
+with `indent` set, json skips its C encoder for a pure-Python one.
 """
 
 from __future__ import annotations
@@ -80,8 +86,53 @@ check_square_criterion = _on_first_call("oracle", "check_square_criterion")
 enumerate_group = _on_first_call("oracle", "enumerate_group")
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, in one
+    recursive pass: with `indent` set, json runs its pure-Python encoder.
+    Takes what a report holds (dicts with str keys, lists, tuples, str,
+    int, finite float, bool, None) and raises TypeError on anything else,
+    a non-str key included (`_escape` refuses it), where json would turn
+    the key into a string.  The str and int leaves of a container are
+    encoded inline, which is most of the speed."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _escape(key) + ": " + (
+                _escape(value) if type(value) is str else int.__repr__(value)
+                if type(value) is int else _dumps(value, inner))
+            for key, value in sorted(obj.items())]) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _escape(value) if type(value) is str else int.__repr__(value)
+            if type(value) is int else _dumps(value, inner)
+            for value in obj]) + indent + "]"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj - obj != 0:  # inf or nan, which JSON cannot spell
+            raise ValueError(f"report float {obj!r} is not finite")
+        return float.__repr__(obj)
+    raise TypeError(f"{type(obj).__name__} {obj!r} is not JSON serializable")
+
+
 def _emit(report: dict, json_path: str | None) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dumps(report)
     if json_path is not None:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import PSL33_DAMAGES
@@ -11,7 +12,7 @@ from conftest import PSL33_DAMAGES
 import grunits
 from grunits import constructions
 from grunits.chardata import data_dir
-from grunits.cli import _COMMANDS, _parse_exact, build_parser, main
+from grunits.cli import _COMMANDS, _dumps, _parse_exact, build_parser, main
 from grunits.oracle import PSL2
 
 
@@ -371,26 +372,88 @@ def test_invariants_gate(tmp_path):
     out = tmp_path / "r.json"
     assert main(["invariants", "--json", str(out)]) == 0
     report = _load(out)
+    assert report["params"] == {}
     assert all(c["ok"] for c in report["result"]["checks"])
 
 
-def test_json_determinism(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["help-scan", "--group", "psl2", "--p", "5", "--json", str(a)])
-    main(["help-scan", "--group", "psl2", "--p", "5", "--json", str(b)])
-    ra, rb = _load(a), _load(b)
-    ra.pop("wall_clock_s"), rb.pop("wall_clock_s")
-    assert ra == rb
+REPORT_ARGVS = {
+    "help-scan-psl2": ["help-scan", "--group", "psl2", "--p", "5"],
+    "help-scan-psl33": ["help-scan", "--group", "psl33"],
+    "chartab-psl2": ["chartab", "--group", "psl2", "--p", "13"],
+    "chartab-psl33": ["chartab", "--group", "psl33"],
+    "patterns-missing": ["patterns", "--p", "7", "--list-missing"],
+    "construct-psl2-null": ["construct", "psl2", "--p", "7",
+                            "--pattern", "1,2,4", "--verify"],
+    "construct-psl2-elements": ["construct", "psl2", "--p", "7",
+                                "--pattern", "1,2,4"],
+    "construct-psl33": ["construct", "psl33", "--verify"],
+    "oracle": ["oracle", "--group", "psl2", "--q", "9"],
+    "invariants": ["invariants"],
+    # exit 1: one element short of |PSL(2,9)|
+    "oracle-fault": ["oracle", "--group", "psl2", "--q", "9"],
+}
+WALL_CLOCK = re.compile(r'^  "wall_clock_s": [0-9.e-]+,?$', re.M)
 
 
-def test_invariants_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["invariants", "--json", str(a)])
-    main(["invariants", "--json", str(b)])
-    ra, rb = _load(a), _load(b)
-    ra.pop("wall_clock_s"), rb.pop("wall_clock_s")
-    assert ra["params"] == {}
-    assert ra == rb
+@pytest.mark.parametrize("name", REPORT_ARGVS)
+def test_report_bytes(name, tmp_path, monkeypatch, capsys):
+    argv = REPORT_ARGVS[name]
+    if name == "oracle-fault":
+        generate = PSL2.generate
+        monkeypatch.setattr(PSL2, "generate", lambda self: generate(self)[1:])
+    texts = []
+    for run in "ab":
+        out = tmp_path / f"{run}.json"
+        code = main(argv + ["--json", str(out)])
+        texts.append(out.read_text(encoding="utf-8"))
+    assert code == (1 if name == "oracle-fault" else 0)
+    capsys.readouterr()
+    text = texts[0]
+    # the bytes json itself writes for this report
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
+    # two runs differ in the wall_clock_s line alone
+    first, second = (t.splitlines() for t in texts)
+    assert len(first) == len(second)
+    assert all(WALL_CLOCK.match(line)
+               for pair in zip(first, second) if pair[0] != pair[1]
+               for line in pair)
+    # without --json the same text ends stdout, after the summary line
+    assert main(argv) == code
+    summary = f"[{argv[0]}] ok={code == 0}\n"
+    _head, found, tail = capsys.readouterr().out.partition(summary)
+    assert found
+    assert WALL_CLOCK.sub("", tail) == WALL_CLOCK.sub("", text)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, [[[]], {"x": {}}],
+    None, True, False, [None, True, False], {"n": None, "t": True, "f": False},
+    -1, 0, 2**64 + 1, -(2**70), [-5, 2**65, 0],
+    0.0, 0.123, round(0.1 + 0.2, 3), round(-2 / 3, 3), [1.5, round(7.0, 3)],
+    'say "hi"', "back\\slash", "tab\tnewline\ncr\rnul\x00us\x1fdel\x7f",
+    "ζ₇ + μ ≠ 😀", {'q"uote': "\\", "é": "ü", "": ""},
+    (1, "a", (None, [])), {"t": (2, (3,)), "l": [(), ("x",)]},
+    {"b": 1, "a": {"d": [1, {"c": "2"}], "c": -3}},
+])
+def test_dumps_matches_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 2), {1: "a"}, {"a": [{2: 0}]}, [frozenset()],
+    {True: 0}, {None: 0}, {(1, 2): 0}, b"bytes", 1j,
+])
+def test_dumps_refuses_what_a_report_never_holds(value):
+    # json would write 1, True and None as keys "1", "true" and "null"
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_refuses_a_non_finite_float(value):
+    with pytest.raises(ValueError):
+        _dumps({"x": [value]})
 
 
 def test_usage_errors(capsys):
