@@ -283,10 +283,11 @@ def _invariant_checks() -> list[dict]:
          validate_orthogonality(psl2_slice(p))["ok"])
         for p in (3, 5, 7, 11, 13)
     ]
+    psl33 = psl33_slice()
     checks += [
-        ("psl33 orthogonality", validate_orthogonality(psl33_slice())["ok"]),
+        ("psl33 orthogonality", validate_orthogonality(psl33)["ok"]),
         ("psl33 degree decomposition", mixed_value_decomposition(
-            psl33_slice(), "a", "b", "chi12", "chi16a")),
+            psl33, "a", "b", "chi12", "chi16a")),
         ("square lines p=7", square_lines(7) == (4, 4)),
         ("oracle |PSL(2,9)| = 360", cached_group("psl2", 9).order == 360),
         ("oracle |PSL(3,3)| = 5616", cached_group("psl3", 3).order == 5616),

@@ -11,29 +11,32 @@ block: the companion matrix A of Phi_p (E = A^0, and B = A^2 for PSL(3,3))
 or I_1 for the trivial block.  A group is therefore stored as exponent
 vectors: one exact power table [M^0, ..., M^(p-1)] per distinct base M,
 and for each generator the exponent of every block.  Elements are never
-multiplied out.  An element's identity is its key, the first index of
-each block's power table holding the same matrix, and its traces are sums
-of the tables' traces.  Only M^p = I, the power tables and the commute
-check use real matrix products.  Verification proves the premises that
-make the exponent arithmetic exact (M^p = I, generators non-trivial and
-commuting, the representation faithful), deciding non-triviality and
+multiplied out.  An element's block exponents are computed once; its
+identity is its key, the first index of each block's power table holding
+the same matrix, and its traces are sums of the tables' traces, kept as
+`int` because the tables hold integer matrices (`Fraction` only for a
+table that is not integral).  Only M^p = I, the power tables and the
+commute check use real matrix products.  Verification proves the premises
+that make the exponent arithmetic exact (M^p = I, generators non-trivial
+and commuting, the representation faithful), deciding non-triviality and
 faithfulness on keys.  Then, in one pass over the elements, it recovers
-every element's partial augmentations (eps_x, eps_y) on the two
-order-p classes x, y in closed form (`invert_profile`): augmentation one
-and the first distinguished row separating x and y give the pair as exact
-`Fraction`s, and every distinguished row is checked against it.
-Integrality, the element's class, class counts and the
-Marciniak-Ritter-Sehgal-Weiss sign test (rationally conjugate to a group
-element iff both are non-negative) are read off the pair.  The
-distinguished rows are looked up, and checked to separate x and y, once
-per group, so a table from GRS_DATA_DIR failing either is a
-`ValidationError`.  For PSL(2,p^2) verification also reads the mixed-class
-pattern off the same solved classes; the Valenti search looks that
-pattern up in the one cross-checked table of `patterns.realizers`, whose
-entry is the first non-square mu of F_(p^2) with a Sylow generator pair
-(1, mu) realizing it.  The other character values carry no information
-of their own: `element_profile` synthesizes them from the solved
-augmentations, as the reference that tests compare against.
+every element's partial augmentations (eps_x, eps_y) on the two order-p
+classes x, y in closed form (`invert_profile`): augmentation one and the
+first distinguished row separating x and y give the pair by one exact
+division, as `int`s when eps_x is integral and as `Fraction`s when it is
+not, and every distinguished row is checked against it.  Integrality, the
+element's class, class counts and the Marciniak-Ritter-Sehgal-Weiss sign
+test (rationally conjugate to a group element iff both are non-negative)
+are read off the pair.  The distinguished rows are looked up, and checked
+to separate x and y, once per group, so a table from GRS_DATA_DIR failing
+either is a `ValidationError`.  For PSL(2,p^2) verification also reads
+the mixed-class pattern off the same solved classes; the Valenti search
+looks that pattern up in the one cross-checked table of
+`patterns.realizers`, whose entry is the first non-square mu of F_(p^2)
+with a Sylow generator pair (1, mu) realizing it.  The other character
+values carry no information of their own: `element_profile` synthesizes
+them from the solved augmentations, as the reference that tests compare
+against.
 """
 
 from __future__ import annotations
@@ -52,17 +55,22 @@ class Inconsistent(Exception):
     """The traces admit no exact augmentation solution."""
 
 
-def invert_profile(rows: list[CharSlice], traces: dict[str, Fraction],
-                   support: tuple[str, str]) -> tuple[Fraction, Fraction]:
+def invert_profile(rows: list[CharSlice], traces: dict[str, int | Fraction],
+                   support: tuple[str, str]
+                   ) -> tuple[int | Fraction, int | Fraction]:
     """(eps_x, eps_y) on the support classes x, y of a unit u whose values
     on `rows` are `traces`.  Augmentation one and the first row chi with
-    chi(x) != chi(y) give eps_x = (chi(u) - chi(y)) / (chi(x) - chi(y));
-    every row must then hold exactly.  `UnitGroup` checks that some row
+    chi(x) != chi(y) give eps_x = (chi(u) - chi(y)) / (chi(x) - chi(y)),
+    by one exact division: an `int` when it is integral, else a `Fraction`.
+    Every row must then hold exactly.  `UnitGroup` checks that some row
     separates x and y."""
     x, y = support
     sep = next(ch for ch in rows if ch.values[x] != ch.values[y])
-    ex = ((Fraction(traces[sep.name]) - sep.values[y])
-          / (sep.values[x] - sep.values[y]))
+    num = traces[sep.name] - sep.values[y]
+    den = sep.values[x] - sep.values[y]
+    ex, rem = divmod(num, den)
+    if rem:
+        ex = Fraction(num, den)
     ey = 1 - ex
     for ch in rows:
         if ex * ch.values[x] + ey * ch.values[y] != traces[ch.name]:
@@ -80,14 +88,15 @@ class UnitGroup:
     `generator_exponents` gives, per generator and component, the exponent
     of each block's base.  `rank` is the number of generators r; the
     group has order p^r once `verify_unit_group` proves it faithful.
-    Element (e_1, ..., e_r) has block exponents sum_i e_i * k_ij mod p, so
-    its blocks are entries of the power tables, its trace is a sum of
-    table traces, and `key` names it exactly.  The tables are built by
-    real `QMatrix` products; that the exponents may be read mod p
-    (M^p = I) and that the generators are non-trivial, commute and act
-    faithfully is what `verify_unit_group` proves, so an inconsistent
-    presentation makes the verification fail rather than the elements
-    silently wrong.
+    Element (e_1, ..., e_r) has block exponents sum_i e_i * k_ij mod p,
+    computed once per element and kept, so its blocks are entries of the
+    power tables; `key` names it exactly and `traces` sums the tables'
+    traces (`int`s, unless a table is not integral), both read off those
+    exponents.  The tables are built by real `QMatrix` products; that the
+    exponents may be read mod p (M^p = I) and that the generators are
+    non-trivial, commute and act faithfully is what `verify_unit_group`
+    proves, so an inconsistent presentation makes the verification fail
+    rather than the elements silently wrong.
     """
 
     def __init__(self, table: TableSlice, p: int, support: tuple[str, str],
@@ -105,6 +114,10 @@ class UnitGroup:
         for gen in self.generator_exponents:
             if {c: len(ks) for c, ks in gen.items()} != shape:
                 raise ValueError("generator exponents do not match the blocks")
+        # per component, each block's exponents (k_1j, ..., k_rj)
+        self._columns = {c: list(zip(*(gen[c] for gen in generator_exponents)))
+                         for c in self.bases}
+        self._block_exponents: dict[tuple[int, ...], dict] = {}
         self.powers: dict[QMatrix, list[QMatrix]] = {}
         for base in dict.fromkeys(b for bs in self.bases.values() for b in bs):
             tab = [QMatrix.identity(base.dim)]
@@ -113,8 +126,12 @@ class UnitGroup:
             self.powers[base] = tab
         # per base, the trace of each power, and the first index of the
         # table holding the same matrix, by exact `QMatrix` equality
-        self.power_traces = {b: [m.trace() for m in tab]
-                             for b, tab in self.powers.items()}
+        self.power_traces = {}
+        for b, tab in self.powers.items():
+            ts = [m.trace() for m in tab]
+            # integer matrices have integer traces, whose sums stay in int
+            integral = all(t.denominator == 1 for t in ts)
+            self.power_traces[b] = [t.numerator for t in ts] if integral else ts
         self.first = {b: [tab.index(m) for m in tab]
                       for b, tab in self.powers.items()}
         # the support hypothesis forces every other row, so only these
@@ -128,11 +145,15 @@ class UnitGroup:
                                   f"separate classes {x} and {y}")
 
     def block_exponents(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-        out = {}
-        for c in self.bases:
-            columns = zip(*(gen[c] for gen in self.generator_exponents))
-            out[c] = tuple(sum(e * k for e, k in zip(exps, col)) % self.p
-                           for col in columns)
+        """Per component, the exponent of each block's base; computed once
+        per element, so that its key and its traces share them."""
+        out = self._block_exponents.get(exps)
+        if out is None:
+            out = self._block_exponents[exps] = {
+                c: tuple(sum(e * k for e, k in zip(exps, col)) % self.p
+                         for col in columns)
+                for c, columns in self._columns.items()
+            }
         return out
 
     def key(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -143,7 +164,7 @@ class UnitGroup:
             for c, ks in self.block_exponents(exps).items()
         }
 
-    def traces(self, exps: tuple[int, ...]) -> dict[str, Fraction]:
+    def traces(self, exps: tuple[int, ...]) -> dict[str, int | Fraction]:
         """Per-component traces: sums of the power tables' traces."""
         return {
             c: sum(self.power_traces[b][k] for b, k in zip(self.bases[c], ks))
@@ -200,8 +221,15 @@ def build_psl33_units() -> UnitGroup:
     )
 
 
-def solve_element(ug: UnitGroup,
-                  exps: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+def _solve(ug: UnitGroup, traces: dict[str, int | Fraction]
+           ) -> tuple[int | Fraction, int | Fraction]:
+    """`invert_profile` on the per-component `traces` of one element."""
+    values = {ug.distinguished[c]: t for c, t in traces.items()}
+    return invert_profile(ug.solve_rows, values, ug.support)
+
+
+def solve_element(ug: UnitGroup, exps: tuple[int, ...]
+                  ) -> tuple[int | Fraction, int | Fraction]:
     """Partial augmentations on the support, solved exactly from
     augmentation one and the element's distinguished traces.
 
@@ -209,11 +237,11 @@ def solve_element(ug: UnitGroup,
     (possible for PSL(3,3), where two traces and augmentation one pin a
     pair of unknowns).
     """
-    traces = {ug.distinguished[c]: t for c, t in ug.traces(exps).items()}
-    return invert_profile(ug.solve_rows, traces, ug.support)
+    return _solve(ug, ug.traces(exps))
 
 
-def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> dict[str, Fraction]:
+def element_profile(ug: UnitGroup,
+                    exps: tuple[int, ...]) -> dict[str, int | Fraction]:
     """Character value on every row, forced by the support hypothesis
     from the element's partial augmentations."""
     if not any(exps):
@@ -224,7 +252,8 @@ def element_profile(ug: UnitGroup, exps: tuple[int, ...]) -> dict[str, Fraction]
             for ch in ug.table.chars}
 
 
-def element_profiles(ug: UnitGroup) -> dict[tuple[int, ...], dict[str, Fraction]]:
+def element_profiles(ug: UnitGroup
+                     ) -> dict[tuple[int, ...], dict[str, int | Fraction]]:
     """Every element's profile.  Nothing in the package calls it; the
     benchmark's tracer (perfbench/spans.py) still wraps it by name."""
     return {exps: element_profile(ug, exps) for exps in ug.exponent_vectors()}
@@ -238,15 +267,16 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     non-trivial (some block's key index is not 0) and commute (real block
     products); the distinguished-component representation is faithful:
     the p^rank elements have distinct keys, so the group order is p^rank.
-    One pass over the elements then solves every nontrivial element once
-    (`solve_element`: augmentation one and its distinguished traces), and
-    reports an inconsistent solve as a problem.  Integrality, the MRSW signs
-    and the element's class are read off that solution: x for (1, 0), y for
-    (0, 1), "other" for anything else.  Per-class counts come from those
-    classes, and so do the premises of a PSL(2,p^2) group: its generators
-    on the support classes in order (u on c, v on d), and its
-    `trace_pattern`, the j with u*v^j on class c, which must equal the
-    requested pattern.
+    One pass over the elements then reads each element's key and traces
+    off its block exponents, and solves every nontrivial element once from
+    those traces (augmentation one and its distinguished rows), which its
+    report entry also shows; an inconsistent solve is a problem.
+    Integrality, the MRSW signs and the element's class are read off that
+    solution: x for (1, 0), y for (0, 1), "other" for anything else.
+    Per-class counts come from those classes, and so do the premises of a
+    PSL(2,p^2) group: its generators on the support classes in order (u on
+    c, v on d), and its `trace_pattern`, the j with u*v^j on class c, which
+    must equal the requested pattern.
     """
     p, rank = ug.p, ug.rank
     problems: list[str] = []
@@ -289,8 +319,9 @@ def verify_unit_group(ug: UnitGroup) -> dict:
         distinct.add(tuple(ug.key(exps).values()))
         if not any(exps):
             continue
+        traces = ug.traces(exps)
         try:
-            ea, eb = solve_element(ug, exps)
+            ea, eb = _solve(ug, traces)
         except Inconsistent as exc:
             unsolved.append(f"element {exps}: {exc}")
             continue
@@ -304,8 +335,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             {
                 "exponents": list(exps),
                 "traces": {
-                    name: format_rational(t)
-                    for name, t in ug.traces(exps).items()
+                    name: format_rational(t) for name, t in traces.items()
                 },
                 "aug": {xa: format_rational(ea), xb: format_rational(eb)},
                 "integral": integral,

@@ -1,7 +1,8 @@
 """Exact rational matrices and block-diagonal assemblies.
 
-Dimensions stay small (at most 85), so multiplication is the naive cubic
-algorithm over ``Fraction`` entries.
+Dimensions stay small: a unit group's blocks are (p-1)x(p-1), at most
+12x12 at `constructions.MAX_PRIME` = 13, so multiplication is the naive
+cubic algorithm over ``Fraction`` entries.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ tuples sort as the flat tuples of matrix entries would.
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k), read from one list per k.  The
+walk finds each power's position in an element->position look-up that
+`orders` builds for itself, so listing a group (all that `invariants`
+reads of PSL(2,9) and PSL(3,3) is the order) builds none.  The
 exponent and the order-p classes read that list.  Conjugacy orbits walk a
 small generating set: the unipotents x(1), x(w) and y(1) for PSL(2,p^2),
 and I + E_12 with the 3-cycle permutation matrix for PSL(3,3).  Every
@@ -54,12 +57,10 @@ class GroupOracle:
 
     def __init__(self) -> None:
         self.elements: list[tuple] = []
-        self._index: dict = {}
         self._orders: list[int] | None = None
 
     def enumerate(self) -> "GroupOracle":
         self.elements = self.generate()
-        self._index = {e: i for i, e in enumerate(self.elements)}
         self._orders = None
         return self
 
@@ -87,7 +88,9 @@ class GroupOracle:
     def orders(self) -> list[int]:
         """The order of each element, in the order of `elements`."""
         if self._orders is None:
-            index, identity, mul = self._index, self.identity, self.mul
+            # each power's position in the listing, which only this walk reads
+            index = {e: i for i, e in enumerate(self.elements)}
+            identity, mul = self.identity, self.mul
             orders, steps = [0] * len(self.elements), range(self.expected_order)
             by_length = {}  # k -> [k // gcd(j, k) for j = 1, ..., k]
             for i, x in enumerate(self.elements):
@@ -170,7 +173,11 @@ class PSL2(GroupOracle):
         self.expected_class_sizes = [(q * q - 1) // 2] * 2
         if self.expected_order > ORDER_CAP:
             raise ValueError(f"PSL(2,{q}) exceeds the enumeration cap")
-        check_odd_prime(p)
+        try:
+            check_odd_prime(p)
+        except ValueError:  # the caller gave q, not p
+            raise ValueError(f"q = {q} is not the square of an odd prime") \
+                from None
         f = fq_make(p)
         field = list(f.elements())  # (a0, a1) pairs, in code order
         code = {e: i for i, e in enumerate(field)}
@@ -282,7 +289,9 @@ def cache_dir() -> str:
 
 
 def enumerate_group(kind: str, q: int = 3) -> GroupOracle:
-    """Enumerate PSL(2,q) (q = p^2) or PSL(3,3) from its definition."""
+    """Enumerate PSL(2,q) (q = p^2) or PSL(3,3) from its definition.  A q
+    that is not the square of an odd prime is a `ValueError` naming q,
+    after the order cap when q is a square."""
     if kind == "psl2":
         p = isqrt(q) if q >= 1 else 0
         if p * p != q:

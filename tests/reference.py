@@ -20,6 +20,9 @@ and :func:`block_trace` are the square-and-multiply powers and the block
 trace that no command needs.  :func:`element_blocks` assembles a unit
 group's element as block-diagonal matrices from its power tables; the
 unit group itself names elements by keys and never builds them.
+:func:`fraction_traces` and :func:`fraction_invert_profile` are the
+partial-augmentation solve in `Fraction`s throughout, which the integer
+solve in `grunits.constructions` is pinned against.
 :func:`direction_line_patterns` is the pattern cross-check walked once per
 direction, which the slope-class walk in `grunits.patterns` is pinned
 against.
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grunits.chardata import CharSlice
+from grunits.constructions import Inconsistent
 from grunits.cyclotomic import Cyclotomic, cyclo
 from grunits.helpengine import Point
 from grunits.matrices import BlockDiag, QMatrix
@@ -176,6 +180,26 @@ def element_blocks(ug, exps: tuple[int, ...]) -> dict[str, BlockDiag]:
         c: BlockDiag(ug.powers[b][k] for b, k in zip(ug.bases[c], ks))
         for c, ks in ug.block_exponents(exps).items()
     }
+
+
+def fraction_traces(ug, exps: tuple[int, ...]) -> dict[str, Fraction]:
+    """The element's per-component traces, as `Fraction` sums of its
+    blocks' `QMatrix` traces."""
+    return {c: block_trace(m) for c, m in element_blocks(ug, exps).items()}
+
+
+def fraction_invert_profile(rows, traces, support):
+    """(eps_x, eps_y) as `Fraction`s: augmentation one and the first row
+    separating x and y, then every row checked exactly."""
+    x, y = support
+    sep = next(ch for ch in rows if ch.values[x] != ch.values[y])
+    ex = ((Fraction(traces[sep.name]) - sep.values[y])
+          / (sep.values[x] - sep.values[y]))
+    ey = 1 - ex
+    for ch in rows:
+        if ex * ch.values[x] + ey * ch.values[y] != traces[ch.name]:
+            raise Inconsistent(f"row {ch.name} contradicts eps = ({ex}, {ey})")
+    return ex, ey
 
 
 def direction_line_patterns(f, nonsquares) -> set[frozenset[int]]:

@@ -80,9 +80,9 @@ def test_construct_verify_evaluates_traces_once_per_use(tmp_path, monkeypatch):
     monkeypatch.setattr(constructions.UnitGroup, "traces", counting)
     assert main(["construct", "psl2", "--p", "7", "--pattern", "1,2,4",
                  "--verify", "--json", str(tmp_path / "r.json")]) == 0
-    # per non-identity element, one for its solve and one for its report
+    # one per non-identity element, shared by its solve and its report
     # entry; the class facts are read off the solves, not off the traces
-    assert len(calls) == 2 * 48
+    assert len(calls) == 48
 
 
 @pytest.mark.parametrize("argv", [
@@ -525,6 +525,10 @@ def test_usage_errors(capsys):
     ["construct", "psl2", "--p", str(2 ** 61 - 1), "--pattern", "1"],
     ["oracle", "--group", "psl2", "--q", str((2 ** 61 - 1) ** 2)],
     ["patterns", "--p", str(2 ** 61 - 1), "--list-missing"],
+    # squares of 0, 1 and 2: the error names q, which the user gave
+    ["oracle", "--group", "psl2", "--q", "0"],
+    ["oracle", "--group", "psl2", "--q", "1"],
+    ["oracle", "--group", "psl2", "--q", "2"],
 ])
 def test_bad_prime_is_usage_error(argv, tmp_path):
     proc = subprocess.run(
@@ -535,6 +539,14 @@ def test_bad_prime_is_usage_error(argv, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+    if argv[:4] == ["oracle", "--group", "psl2", "--q"]:
+        q = argv[4]
+        if q in ("121", str((2 ** 61 - 1) ** 2)):
+            assert f"--q {q}: PSL(2,{q}) exceeds the enumeration cap" \
+                in proc.stderr
+        else:
+            assert f"--q {q}: q = {q} is not the square of an odd prime" \
+                in proc.stderr
 
 
 def test_validation_failure_exit_code(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -313,7 +314,7 @@ def _forced_profile(ug, exps):
         eqs.append(((1, 1), 1))
     ((a, b), s), ((c, d), t) = eqs
     det = a * d - b * c
-    ea, eb = (s * d - b * t) / det, (a * t - s * c) / det
+    ea, eb = Fraction(s * d - b * t, det), Fraction(a * t - s * c, det)
     return {
         ch.name: traces[ch.name] if ch.name in traces
         else ea * ch.values[xa] + eb * ch.values[xb]

@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from grunits.chardata import CharSlice, ValidationError, psl2_slice, psl33_slice
+from itertools import combinations
+
+from grunits.chardata import (CharSlice, ValidationError, format_rational,
+                              psl2_slice, psl33_slice)
 from grunits.constructions import (
     Inconsistent,
     UnitGroup,
     build_psl2_units,
+    build_psl33_units,
     invert_profile,
+    solve_element,
+    verify_unit_group,
 )
+from reference import fraction_invert_profile, fraction_traces
 
 
 def _values_of_class(table, class_id):
@@ -109,3 +116,66 @@ def test_round_trip_and_linearity():
         ea = Fraction(rng.randint(-5, 5))
         values = _values_of_aug(t, ("a", "b"), ea, 1 - ea)
         assert invert_profile(t.chars, values, ("a", "b")) == (ea, 1 - ea)
+
+
+@pytest.mark.parametrize("p,members", [
+    *((3, set(m)) for m in combinations(range(1, 3), 1)),
+    *((5, set(m)) for m in combinations(range(1, 5), 2)),
+    (7, {1, 2, 4}),
+    (7, {1, 2, 3}),
+    (3, None),  # PSL(3,3)
+])
+def test_integer_solve_matches_fraction_reference(p, members):
+    """The integer traces and the one-division solve give every element
+    the eps, integrality and MRSW verdict of the all-`Fraction` solve, and
+    an integral eps as `int`s."""
+    ug = build_psl33_units() if members is None else build_psl2_units(p, members)
+    report = verify_unit_group(ug)
+    assert report["problems"] == []
+    entries = {tuple(e["exponents"]): e for e in report["elements"]}
+    xa, xb = ug.support
+    for exps in ug.exponent_vectors():
+        if not any(exps):
+            continue
+        traces = {ug.distinguished[c]: t
+                  for c, t in fraction_traces(ug, exps).items()}
+        ex, ey = fraction_invert_profile(ug.solve_rows, traces, ug.support)
+        integral = ex.denominator == 1
+        got = solve_element(ug, exps)
+        assert got == (ex, ey)
+        if integral:
+            assert [type(e) for e in got] == [int, int]
+        entry = entries[exps]
+        assert entry["aug"] == {xa: format_rational(ex), xb: format_rational(ey)}
+        assert entry["traces"] == {c: format_rational(t) for c, t
+                                   in fraction_traces(ug, exps).items()}
+        assert entry["integral"] is integral
+        assert entry["mrsw"] is (ex >= 0 and ey >= 0)
+
+
+def test_non_integral_eps_is_a_fraction():
+    # eps = (1/3, 2/3) gives integer values on every PSL(3,3) row, so only
+    # the division can tell that it is not a group element's
+    t = psl33_slice()
+    values = _values_of_aug(t, ("a", "b"), Fraction(1, 3), Fraction(2, 3))
+    values = {name: int(v) for name, v in values.items() if v.denominator == 1}
+    assert len(values) == len(t.chars)
+    ex, ey = invert_profile(t.chars, values, ("a", "b"))
+    assert (type(ex), type(ey)) == (Fraction, Fraction)
+    assert (ex, ey) == (Fraction(1, 3), Fraction(2, 3))
+    assert fraction_invert_profile(t.chars, values, ("a", "b")) == (ex, ey)
+
+
+def test_non_integral_eps_in_the_report():
+    # chi12 = 1 and chi16a = 0 solve to eps = (1/3, 2/3); no product of the
+    # shipped bases has these traces, so they are put in by hand
+    ug = build_psl33_units()
+    odd = (0, 0, 1)
+    ug.traces = lambda exps: ({"chi": 1, "phi": 0} if exps == odd
+                              else UnitGroup.traces(ug, exps))
+    report = verify_unit_group(ug)
+    entry = next(e for e in report["elements"] if tuple(e["exponents"]) == odd)
+    assert entry["traces"] == {"chi": "1", "phi": "0"}
+    assert entry["aug"] == {"a": "1/3", "b": "2/3"}
+    assert entry["integral"] is False and entry["mrsw"] is True
+    assert report["all_integral"] is False and report["ok"] is False
