@@ -10,10 +10,10 @@ wall_clock_s, which callers comparing reports should drop.  Exit codes:
 0 all verdicts pass / enumeration completed, 1 a verdict failed (the
 report and its witness are printed), an input table or an internal check
 failed (`ValidationError`, or the `AssertionError` of a check such as the
-field check or the pattern cross-check: `validation failure: MSG` on
-stderr and no report), or the reader closed stdout before the report was
-written (`| head`; nothing is printed), 2 usage error, missing data file
-or a --json PATH that cannot be written.
+field check or the patterns' square-table premise check: `validation
+failure: MSG` on stderr and no report), or the reader closed stdout
+before the report was written (`| head`; nothing is printed), 2 usage
+error, missing data file or a --json PATH that cannot be written.
 
 The grammar is declared once, in `_COMMANDS`: each subcommand's help text,
 handler and options, as the keyword arguments of argparse's
@@ -162,11 +162,11 @@ def _parse_pattern(text: str) -> set[int]:
         entries = [int(tok) for tok in text.split(",")]
     except ValueError:
         _usage_error(
-            f"bad --pattern {text!r}: expected comma-separated integers")
+            f"--pattern {text}: expected comma-separated integers")
     members: set[int] = set()
     for entry in entries:
         if entry in members:
-            _usage_error(f"bad --pattern {text!r}: repeated entry {entry}")
+            _usage_error(f"--pattern {text}: repeated entry {entry}")
         members.add(entry)
     return members
 
@@ -284,13 +284,18 @@ def _invariant_checks() -> list[dict]:
         for p in (3, 5, 7, 11, 13)
     ]
     psl33 = psl33_slice()
+    sizes = {c.id: c.class_size for c in psl33.classes}
     checks += [
         ("psl33 orthogonality", validate_orthogonality(psl33)["ok"]),
         ("psl33 degree decomposition", mixed_value_decomposition(
             psl33, "a", "b", "chi12", "chi16a")),
         ("square lines p=7", square_lines(7) == (4, 4)),
         ("oracle |PSL(2,9)| = 360", cached_group("psl2", 9).order == 360),
-        ("oracle |PSL(3,3)| = 5616", cached_group("psl3", 3).order == 5616),
+        # I + E_12 and I + E_12 + E_23 walk the table's classes a and b
+        ("oracle |PSL(3,3)| = 5616, classes a and b of the table",
+         (psl3 := cached_group("psl3", 3)).order == 5616
+         and len(psl3.conjugacy_class((12, 3, 1))) == sizes["a"]
+         and len(psl3.conjugacy_class((12, 4, 1))) == sizes["b"]),
         ("square-class conjugacy criterion p=3", check_square_criterion(3)),
         ("pattern normalization p=11",
          len(group_patterns(11)) == (11 * 11 - 1) // 4),

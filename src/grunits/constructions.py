@@ -31,12 +31,12 @@ are read off the pair.  The distinguished rows are looked up, and checked
 to separate x and y, once per group, so a table from GRS_DATA_DIR failing
 either is a `ValidationError`.  For PSL(2,p^2) verification also reads
 the mixed-class pattern off the same solved classes; the Valenti search
-looks that pattern up in the one cross-checked table of
-`patterns.realizers`, whose entry is the first non-square mu of F_(p^2)
-with a Sylow generator pair (1, mu) realizing it.  The other character
-values carry no information of their own: `element_profile` synthesizes
-them from the solved augmentations, as the reference that tests compare
-against.
+looks that pattern up in the one table of `patterns.realizers`, whose
+entry is the first non-square mu of F_(p^2) with a Sylow generator pair
+(1, mu) realizing it, read only after the square table it scans is
+checked to be exactly the squares.  The other character values carry no
+information of their own: `element_profile` synthesizes them from the
+solved augmentations, as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -384,9 +384,10 @@ def valenti_search(target: frozenset[int], p: int) -> dict | None:
     equality is exactly value preservation on every element because powers
     stay in their generator's class.  Square scaling leaves a pattern
     invariant, so g = 1, and h is the first non-square mu in field order
-    that `patterns.realizers` lists for the target; None, when the
-    cross-checked table has no such mu, certifies that no such isomorphism
-    exists.
+    that `patterns.realizers` lists for the target; None, when the table
+    has no such mu, certifies that no such isomorphism exists, since that
+    table is built only on a square table checked to be exactly the
+    squares.
     """
     mu = realizers(p).get(target)
     if mu is None:

@@ -22,9 +22,9 @@ Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
 x^j is recorded with order k / gcd(j, k), read from one list per k.  The
 walk finds each power's position in an element->position look-up that
-`orders` builds for itself, so listing a group (all that `invariants`
-reads of PSL(2,9) and PSL(3,3) is the order) builds none.  The
-exponent and the order-p classes read that list.  Conjugacy orbits walk a
+`orders` builds for itself, so listing a group (`invariants` reads the
+order of PSL(2,9), and of PSL(3,3) the order and two conjugacy orbits)
+builds none.  The exponent and the order-p classes read that list.  Conjugacy orbits walk a
 small generating set: the unipotents x(1), x(w) and y(1) for PSL(2,p^2),
 and I + E_12 with the 3-cycle permutation matrix for PSL(3,3).  Every
 power walk stops after the group order steps: a faulty product raises an

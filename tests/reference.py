@@ -23,9 +23,10 @@ unit group itself names elements by keys and never builds them.
 :func:`fraction_traces` and :func:`fraction_invert_profile` are the
 partial-augmentation solve in `Fraction`s throughout, which the integer
 solve in `grunits.constructions` is pinned against.
-:func:`direction_line_patterns` is the pattern cross-check walked once per
-direction, which the slope-class walk in `grunits.patterns` is pinned
-against.
+:func:`direction_line_patterns` is every (lambda, mu) pair's pattern,
+walked once per direction, which the normalized scan in `grunits.patterns`
+(pairs (1, mu) only, on the premise that its square table is exactly the
+squares) is pinned against.
 """
 
 from __future__ import annotations

@@ -373,7 +373,10 @@ def test_invariants_gate(tmp_path):
     assert main(["invariants", "--json", str(out)]) == 0
     report = _load(out)
     assert report["params"] == {}
-    assert all(c["ok"] for c in report["result"]["checks"])
+    checks = report["result"]["checks"]
+    assert len(checks) == 14 and all(c["ok"] for c in checks)
+    assert ("oracle |PSL(3,3)| = 5616, classes a and b of the table"
+            in [c["check"] for c in checks])
 
 
 REPORT_ARGVS = {
@@ -484,14 +487,14 @@ def test_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "psl2", "--p", "7", "--pattern", pattern])
         assert exc.value.code == 2
-        assert (f"bad --pattern '{pattern}': repeated entry {repeated}"
+        assert (f"--pattern {pattern}: repeated entry {repeated}"
                 in capsys.readouterr().err)
     # empty entries are errors, so ",,1" cannot pass as {1}
     for p, pattern in (("3", ",,1"), ("5", "1,,2"), ("5", "1,2,")):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "psl2", "--p", p, "--pattern", pattern])
         assert exc.value.code == 2
-        assert (f"bad --pattern '{pattern}': expected comma-separated integers"
+        assert (f"--pattern {pattern}: expected comma-separated integers"
                 in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -201,7 +201,7 @@ def test_field_fault_matrix(fresh_fields, monkeypatch, capsys):
     assert _outcomes(commands, cells, capsys) == cells
 
 
-# the (lambda, mu) cross-check of the normalized scan
+# the normalized scan's check that its square table is exactly the squares
 NOT_CLOSED = "invalid: square-scaling normalization failed"
 
 # command at p = 7 -> its cell when F_49's square table misses 2 = 3^2: a
@@ -252,8 +252,9 @@ ORACLE_FAULTS = {
         ["PSL(2,9) reads no PSL(3,3) table",
          "invalid: PSL(3,3): the powers of (1, 6, 9) miss the identity "
          "within the group order 5616",
-         "invariants checks only |PSL(3,3)| = 5616, and the listing, which "
-         "multiplies nothing, still has 5616 elements"]),
+         # the class-size check's orbit walk first inverts the 3-cycle
+         "invalid: PSL(3,3): the powers of (3, 1, 9) miss the identity "
+         "within the group order 5616"]),
 }
 
 

@@ -81,6 +81,16 @@ def test_class_lists_are_minimal_representatives_in_order(kind, q):
     assert g.order_p_classes() == [c for c in partition if order[c[0]] == 3]
 
 
+def test_invariants_walks_both_order_3_classes_of_psl3():
+    # invariants walks the orbits of I + E_12 and I + E_12 + E_23 against
+    # the table's a and b; they must be the two order-3 classes
+    g = cached_group("psl3", 3)
+    assert g.generators[0] == (12, 3, 1)
+    a, b = g.conjugacy_class((12, 3, 1)), g.conjugacy_class((12, 4, 1))
+    assert (len(a), len(b)) == (104, 624)
+    assert {(min(a), len(a)), (min(b), len(b))} == set(g.order_p_classes())
+
+
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
     g = cached_group(kind, q)

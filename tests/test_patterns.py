@@ -5,7 +5,6 @@ import pytest
 from grunits import patterns
 from grunits.finitefield import Fq, fq_make
 from grunits.patterns import (
-    _all_pair_patterns,
     _pattern_of,
     balanced_patterns,
     gap_report,
@@ -76,7 +75,8 @@ def test_line_walk_matches_every_pair(p):
     nonzero = [e for e in f.elements() if e != f.zero]
     squares = [e for e in nonzero if e in f.squares]
     nonsquares = [e for e in nonzero if e not in f.squares]
-    assert _all_pair_patterns(f, nonsquares) == {
+    # the normalized scan gives every pattern of every (lam, mu) pair
+    assert group_patterns(p) == {
         _pattern_of(f, lam, mu) for lam in squares for mu in nonsquares}
 
 
@@ -90,41 +90,37 @@ def _split(f):
 def test_slope_classes_match_the_direction_walk(p):
     f = fq_make(p)
     _, nonsquares = _split(f)
-    assert _all_pair_patterns(f, nonsquares) == direction_line_patterns(
-        f, nonsquares)
+    assert group_patterns(p) == direction_line_patterns(f, nonsquares)
+
+
+def _broken_tables(p):
+    """Square tables at p that are not {y*y : y != 0}: each (0, y) and
+    (2, 0) dropped, one non-square added, and one square swapped for a
+    non-square, which keeps the size (q-1)/2."""
+    f = fq_make(p)
+    squares = f.squares
+    _, nonsquares = _split(f)
+    # every element of F_p, 2 included, is a square of F_(p^2), and at
+    # p = 3 (mod 4) so is every (0, y)
+    dropped = [(0, y) for y in range(1, p)] + [(2, 0)]
+    assert all(e in squares for e in dropped)
+    yield from (squares - {e} for e in dropped)
+    yield squares | {nonsquares[0]}
+    yield (squares - {f.one}) | {nonsquares[0]}
 
 
 @pytest.mark.parametrize("p", [7, 11])
-def test_slope_classes_match_every_pair_on_a_table_missing_a_square(p):
-    # at p = 3 (mod 4) every (0, y) is a square; dropping one lists it as a
-    # non-square with d = y, and its slope class no longer holds every
-    # scale.  Dropping (2, 0) lists a non-square with d = 0.
-    for dropped in [(0, y) for y in range(1, p)] + [(2, 0)]:
+def test_realizers_reject_a_table_that_is_not_the_squares(p, monkeypatch):
+    tables = list(_broken_tables(p))
+    assert len(tables) == p + 2
+    assert len(tables[-1]) == (p * p - 1) // 2
+    for table in tables:
         broken = Fq(p)
-        broken.squares = broken.squares - {dropped}
-        squares, nonsquares = _split(broken)
-        assert len(squares) == (p * p - 1) // 2 - 1
-        assert _all_pair_patterns(broken, nonsquares) == {
-            _pattern_of(broken, lam, mu)
-            for lam in squares for mu in nonsquares}
-
-
-class _CountingSquares(frozenset):
-    def __contains__(self, x):
-        self.reads += 1
-        return super().__contains__(x)
-
-
-@pytest.mark.parametrize("p", [7, 13])
-def test_cross_check_reads_each_line_once(p):
-    # p lines of p points for each of the (p+1)/2 non-square slopes, where
-    # the walk per direction read them once for each of (p^2-1)/2 directions
-    f = Fq(p)
-    _, nonsquares = _split(f)
-    f.squares = _CountingSquares(f.squares)
-    f.squares.reads = 0
-    _all_pair_patterns(f, nonsquares)
-    assert f.squares.reads == (p + 1) // 2 * p * p
+        broken.squares = frozenset(table)
+        monkeypatch.setattr(patterns, "fq_make", lambda p: broken)
+        with pytest.raises(AssertionError,
+                           match="square-scaling normalization failed"):
+            realizers(p)
 
 
 def test_broken_square_table_fails_the_cross_check(monkeypatch):
