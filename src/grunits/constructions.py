@@ -16,7 +16,9 @@ identity is its key, the first index of each block's power table holding
 the same matrix, and its traces are sums of the tables' traces, kept as
 `int` because the tables hold integer matrices (`Fraction` only for a
 table that is not integral).  Only M^p = I, the power tables and the
-commute check use real matrix products.  Verification proves the premises
+commute check use real matrix products, and the commute check multiplies
+each distinct pair of unequal powers of one base once, however many
+generator pairs and components share it.  Verification proves the premises
 that make the exponent arithmetic exact (M^p = I, generators non-trivial
 and commuting, the representation faithful), deciding non-triviality and
 faithfulness on keys.  Then, in one pass over the elements, it recovers
@@ -265,8 +267,10 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     Checks: every block base satisfies M^p = I (one product past its power
     table), so generators have order p unless trivial; generators are
     non-trivial (some block's key index is not 0) and commute (real block
-    products); the distinguished-component representation is faithful:
-    the p^rank elements have distinct keys, so the group order is p^rank.
+    products, one per distinct pair of unequal powers of a base, reported
+    per generator pair and component); the distinguished-component
+    representation is faithful: the p^rank elements have distinct keys,
+    so the group order is p^rank.
     One pass over the elements then reads each element's key and traces
     off its block exponents, and solves every nontrivial element once from
     those traces (augmentation one and its distinguished rows), which its
@@ -285,6 +289,8 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     comp_names = list(ug.bases)
     closes = {base: (tab[p - 1] * base).is_identity()
               for base, tab in ug.powers.items()}
+    # (base, k, l) with k < l -> whether powers k and l of base commute
+    commute: dict[tuple[QMatrix, int, int], bool] = {}
 
     for i in range(rank):
         for name in comp_names:
@@ -294,14 +300,20 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             if not periodic or not any(keys[i][name]):
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not have order {p} in {name}")
-        # never fails (blocks are powers of one base); kept until ROADMAP
-        # item 1a, whose memory figure would read the time saved as a cost
+        # fails only on a faulty power table, as every block is a power of
+        # one base; ROADMAP item 2 deletes it once item 1a keeps the memory
+        # figure from reading the time saved as a cost.  Equal powers
+        # commute without a product.
         for j in range(i + 1, rank):
             for name in comp_names:
-                tabs = (ug.powers[m] for m in ug.bases[name])
-                pairs = [(tab[k], tab[l]) for tab, k, l
-                         in zip(tabs, keys[i][name], keys[j][name])]
-                if [a * b for a, b in pairs] != [b * a for a, b in pairs]:
+                pairs = {(base, min(k, l), max(k, l)) for base, k, l
+                         in zip(ug.bases[name], keys[i][name], keys[j][name])
+                         if k != l}
+                for pair in pairs - commute.keys():
+                    base, k, l = pair
+                    a, b = ug.powers[base][k], ug.powers[base][l]
+                    commute[pair] = a * b == b * a
+                if not all(commute[pair] for pair in pairs):
                     problems.append(
                         f"generators {ug.generator_names[i]}, "
                         f"{ug.generator_names[j]} do not commute in {name}"

@@ -20,15 +20,19 @@ tuples sort as the flat tuples of matrix entries would.
 
 Element orders are found once per cyclic subgroup: the powers x, x^2, ...,
 x^k = 1 of an element whose order is not yet known are walked once, and
-x^j is recorded with order k / gcd(j, k), read from one list per k.  The
-walk finds each power's position in an element->position look-up that
+x^j is recorded with order k / gcd(j, k), read from one list per k.  Each
+group walks its powers itself (`power_positions`): the product acc * x is
+`mul` inlined, with x's product rows (PSL(2,p^2)) or spread rows
+(PSL(3,3)) bound once per walk, and the tests pin it to repeated `mul`.
+The walk finds each power's position in an element->position look-up that
 `orders` builds for itself, so listing a group (`invariants` reads the
 order of PSL(2,9), and of PSL(3,3) the order and two conjugacy orbits)
-builds none.  The exponent and the order-p classes read that list.  Conjugacy orbits walk a
-small generating set: the unipotents x(1), x(w) and y(1) for PSL(2,p^2),
-and I + E_12 with the 3-cycle permutation matrix for PSL(3,3).  Every
-power walk stops after the group order steps: a faulty product raises an
-AssertionError naming the element instead of looping for ever.
+builds none.  The exponent and the order-p classes read that list.
+Conjugacy orbits walk a small generating set with `mul`: the unipotents
+x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the 3-cycle
+permutation matrix for PSL(3,3).  Every power walk stops after the group
+order steps: a faulty product raises an AssertionError naming the element
+instead of looping for ever.
 """
 
 from __future__ import annotations
@@ -51,8 +55,11 @@ class GroupOracle:
     `expected_order`, `expected_exponent` and `expected_class_sizes` (of
     the order-p classes, in increasing order), `identity`, `generators`
     (a generating set, which the conjugacy orbits walk), the product
-    `mul`, which returns the canonical representative, and `generate`,
-    which lists the group in increasing order.
+    `mul`, which returns the canonical representative, `generate`, which
+    lists the group in increasing order, and `power_positions(x, index)`,
+    the positions in `index` of x, x^2, ..., up to the identity: a
+    `KeyError` when a power is not listed, and the `_no_identity(x)` error
+    after the group order steps.
     """
 
     def __init__(self) -> None:
@@ -90,21 +97,13 @@ class GroupOracle:
         if self._orders is None:
             # each power's position in the listing, which only this walk reads
             index = {e: i for i, e in enumerate(self.elements)}
-            identity, mul = self.identity, self.mul
-            orders, steps = [0] * len(self.elements), range(self.expected_order)
+            walk, orders = self.power_positions, [0] * len(self.elements)
             by_length = {}  # k -> [k // gcd(j, k) for j = 1, ..., k]
             for i, x in enumerate(self.elements):
                 if orders[i]:
                     continue
-                powers, acc = [i], x
                 try:
-                    for _ in steps:
-                        if acc == identity:
-                            break
-                        acc = mul(acc, x)
-                        powers.append(index[acc])
-                    else:
-                        raise self._no_identity(x)
+                    powers = walk(x, index)
                 except KeyError:  # a power left the listing
                     raise self._no_identity(x) from None
                 k = len(powers)
@@ -206,6 +205,25 @@ class PSL2(GroupOracle):
         neg = self._neg
         return (neg[a], neg[b], neg[c], neg[d])
 
+    def power_positions(self, x, index) -> list[int]:
+        # `mul(acc, x)` inlined, with x's product rows bound once: the field
+        # commutes, so prod[a][e] is prod[e][a]
+        s, leads, neg = self._sum, self._leads, self._neg
+        prod, (e, g, h, i) = self._prod, x
+        pe, pg, ph, pi = prod[e], prod[g], prod[h], prod[i]
+        identity, acc, (a, b, c, d) = self.identity, x, x
+        positions = [index[x]]
+        for _ in range(self.expected_order):
+            if acc == identity:
+                return positions
+            a, b = s[pe[a]][ph[b]], s[pg[a]][pi[b]]
+            c, d = s[pe[c]][ph[d]], s[pg[c]][pi[d]]
+            if not leads[a or b or c or d]:
+                a, b, c, d = neg[a], neg[b], neg[c], neg[d]
+            acc = (a, b, c, d)
+            positions.append(index[acc])
+        raise self._no_identity(x)
+
     def generate(self) -> list[tuple]:
         # A first row (a, b) is nonzero, so it holds the first nonzero entry
         # v, and the matrix is canonical when v < -v.  Each such row has q
@@ -264,6 +282,22 @@ class PSL3(GroupOracle):
         (a, b, c), (d, e, f_), (g, h, i) = rows[x1], rows[x2], rows[x3]
         return (mod3[a * u + b * v + c * w], mod3[d * u + e * v + f_ * w],
                 mod3[g * u + h * v + i * w])
+
+    def power_positions(self, x, index) -> list[int]:
+        # `mul(acc, x)` inlined, with x's spread rows bound once
+        rows, spread, mod3 = self._rows, self._spread, self._mod3
+        identity, acc, (x1, x2, x3) = self.identity, x, x
+        u, v, w = spread[x1], spread[x2], spread[x3]
+        positions = [index[x]]
+        for _ in range(self.expected_order):
+            if acc == identity:
+                return positions
+            (a, b, c), (d, e, f_), (g, h, i) = rows[x1], rows[x2], rows[x3]
+            x1, x2, x3 = acc = (mod3[a * u + b * v + c * w],
+                                mod3[d * u + e * v + f_ * w],
+                                mod3[g * u + h * v + i * w])
+            positions.append(index[acc])
+        raise self._no_identity(x)
 
     def generate(self) -> list[tuple]:
         # det [r1; r2; r3] = r3 . (r1 x r2), so each pair of first rows takes

@@ -12,11 +12,22 @@ parameter}.  g may be normalized to 1, by a two-line lemma:
     lambda + i*mu is a square exactly when 1 + i*mu/lambda is, and
     mu/lambda runs over the non-squares as mu does.
 
-Hence pattern(lambda, mu) = pattern(1, mu/lambda).  `realizers`
-scans the non-squares mu once and keeps, per pattern, the first mu in
-field order realizing it with g = 1.  That one table answers every
+Hence pattern(lambda, mu) = pattern(1, mu/lambda).  Half of the
+non-squares then suffice, by a second lemma:
+
+    Frobenius x -> x^p is a field automorphism fixing F_p, so it maps the
+    squares onto themselves and 1 + i*mu to 1 + i*mu^p; mu and mu^p
+    realize one pattern.  Every element of F_p is a square of F_(p^2)
+    (p - 1 divides (q-1)/2), so a non-square mu = c + d*w has d != 0;
+    and w^p = w*t^((p-1)/2) = -w, as w^2 = t is a non-residue, so
+    mu^p = c - d*w.  Of the pair, the one with 2d < p comes first in
+    field order.
+
+`realizers` scans the non-squares mu = c + d*w with 2d < p once and keeps,
+per pattern, the first mu in field order realizing it with g = 1: the
+table a scan of every non-square keeps.  That one table answers every
 realizability question (`group_patterns`, `gap_report`, the Valenti
-search), and it is returned only after the lemma's premise is checked on
+search), and it is built only after both lemmas' premise is checked on
 the square table it reads: `f.squares` holds (q-1)/2 elements and every
 y*y, y != 0; a field has (q-1)/2 such squares, so the table is exactly
 their subgroup.  p is capped at MAX_PRIME, the largest prime at which the
@@ -26,7 +37,7 @@ tests check the count.
 from __future__ import annotations
 
 from math import comb
-from itertools import combinations
+from itertools import combinations, product
 
 from .finitefield import check_odd_prime, fq_make
 
@@ -51,7 +62,8 @@ def realizers(p: int) -> dict[frozenset[int], tuple[int, int]]:
     """Each pattern realized by a pair (g, h), g square class, h non-square,
     with the first non-square mu in field order whose pair (1, mu) realizes
     it; the square table is checked first to be exactly the squares, the
-    premise of normalizing g to 1."""
+    premise of normalizing g to 1 and of scanning only mu = c + d*w with
+    2d < p, each the earlier of its Frobenius pair {mu, mu^p}."""
     check_odd_prime(p, MAX_PRIME)
     f = fq_make(p)
     squares = f.squares
@@ -60,7 +72,7 @@ def realizers(p: int) -> dict[frozenset[int], tuple[int, int]]:
             f.mul(y, y) not in squares for y in nonzero):
         raise AssertionError("square-scaling normalization failed")
     table = {}
-    for mu in nonzero:
+    for mu in product(range(p), range(1, (p + 1) // 2)):
         if mu not in squares:
             table.setdefault(_pattern_of(f, f.one, mu), mu)
     return table

@@ -26,7 +26,9 @@ solve in `grunits.constructions` is pinned against.
 :func:`direction_line_patterns` is every (lambda, mu) pair's pattern,
 walked once per direction, which the normalized scan in `grunits.patterns`
 (pairs (1, mu) only, on the premise that its square table is exactly the
-squares) is pinned against.
+squares) is pinned against; :func:`full_scan_realizers` is that scan over
+every non-square mu, which its scan of one mu per Frobenius pair is
+pinned against.
 """
 
 from __future__ import annotations
@@ -226,3 +228,17 @@ def direction_line_patterns(f, nonsquares) -> set[frozenset[int]]:
                     masks.add(((line >> j) | (line << (p - j))) & keep)
     return {frozenset(i for i in range(1, p) if mask >> i & 1)
             for mask in masks}
+
+
+def full_scan_realizers(f) -> dict[frozenset[int], tuple[int, int]]:
+    """Per pattern {i : 1 + i*mu is a square}, the first non-square mu of
+    F_(p^2) in field order realizing it, over every non-square, by field
+    arithmetic."""
+    table = {}
+    for mu in f.elements():
+        if mu != f.zero and mu not in f.squares:
+            pattern = frozenset(
+                i for i in range(1, f.p)
+                if f.add(f.one, f.mul(f.scalar(i), mu)) in f.squares)
+            table.setdefault(pattern, mu)
+    return table

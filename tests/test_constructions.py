@@ -259,6 +259,21 @@ def test_verify_rejects_base_of_wrong_order():
     assert not report["ok"]
 
 
+def test_verify_rejects_a_power_table_entry_that_does_not_commute():
+    # u = (1, E, A^4, A^3) and v = (1, A, A, A): with A^3 replaced by
+    # I + E_12, which does not commute with A, the last blocks of u and v
+    # no longer commute; M^p = I reads A^4 and the traces and keys were
+    # taken from the true table, so only the commute check can see it
+    ug = build_psl2_units(5, {1, 2})
+    A = ug.bases["eta"][-1]
+    shear = QMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert shear * A != A * shear
+    ug.powers[A][3] = shear
+    report = verify_unit_group(ug)
+    assert report["problems"] == ["generators u, v do not commute in eta"]
+    assert report["ok"] is False
+
+
 def test_verify_rejects_generators_on_swapped_classes():
     # for {1, 4} the swapped pair still shows the requested trace pattern,
     # so only the generator-class check can catch it

@@ -207,23 +207,37 @@ def test_psl3_listing_decodes_to_increasing_flat_tuples_of_determinant_one():
 
 def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
     # `element_order` on every element costs 66,821 products in PSL(2,25)
-    # and 38,923 in PSL(3,3); one walk per cyclic subgroup, with the class
-    # orbits, costs 12,573 and 10,569
-    for g, bound in [(PSL2(5).enumerate(), 15_000),
-                     (PSL3().enumerate(), 12_000)]:
-        products = 0
-        mul = type(g).mul
+    # and 38,923 in PSL(3,3); one walk per cyclic subgroup takes 8,805 and
+    # 7,649 steps, one product each
+    for g, steps in [(PSL2(5).enumerate(), 8_805),
+                     (PSL3().enumerate(), 7_649)]:
+        taken = 0
+        walk = type(g).power_positions
 
-        def counted(self, x, y):
-            nonlocal products
-            products += 1
-            return mul(self, x, y)
+        def counted(self, x, index):
+            nonlocal taken
+            positions = walk(self, x, index)
+            taken += len(positions) - 1
+            return positions
 
         with monkeypatch.context() as m:
-            m.setattr(type(g), "mul", counted)
+            m.setattr(type(g), "power_positions", counted)
             g.order_p_classes()
             g.exponent()
-        assert products <= bound, g.name
+        assert taken == steps, g.name
+
+
+@pytest.mark.parametrize("kind,q", GROUPS)
+def test_power_walk_is_repeated_mul(kind, q):
+    # the walk inlines `mul`, and is pinned to it on every element
+    g = cached_group(kind, q)
+    index = {e: i for i, e in enumerate(g.elements)}
+    for x in g.elements:
+        acc, want = x, [index[x]]
+        while acc != g.identity:
+            acc = g.mul(acc, x)
+            want.append(index[acc])
+        assert g.power_positions(x, index) == want
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from grunits.patterns import (
     group_patterns,
     realizers,
 )
-from reference import direction_line_patterns, fq_pow
+from reference import direction_line_patterns, fq_pow, full_scan_realizers
 
 
 def _euler_is_square(f, x):
@@ -56,6 +56,14 @@ def test_realizers_keep_the_first_mu_in_field_order(p):
     for pattern, mu in realizers(p).items():
         assert mu == next(nu for nu in nonsquares
                           if _euler_pattern_of(f, f.one, nu) == pattern)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_realizers_equal_the_scan_of_every_non_square(p):
+    # one mu per Frobenius pair {mu, mu^p}: the same patterns, the same
+    # first mu for each, in the same order
+    assert list(realizers(p).items()) == \
+        list(full_scan_realizers(fq_make(p)).items())
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
