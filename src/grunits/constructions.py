@@ -15,12 +15,13 @@ multiplied out.  An element's block exponents are computed once; its
 identity is its key, the first index of each block's power table holding
 the same matrix, and its traces are sums of the tables' traces, kept as
 `int` because the tables hold integer matrices (`Fraction` only for a
-table that is not integral).  Only M^p = I, the power tables and the
-commute check use real matrix products, and the commute check multiplies
-each distinct pair of unequal powers of one base once, however many
-generator pairs and components share it.  Verification proves the premises
-that make the exponent arithmetic exact (M^p = I, generators non-trivial
-and commuting, the representation faithful), deciding non-triviality and
+table that is not integral).  Only the power tables and their check use
+real matrix products: verification multiplies every entry of each table
+by its base once, proving the table the cyclic group of its base (every
+entry the true power, M^p = I), so generators whose blocks are powers of
+one base commute without products of their own.  Verification proves the
+premises that make the exponent arithmetic exact (cyclic tables, generators
+non-trivial, the representation faithful), deciding non-triviality and
 faithfulness on keys.  Then, in one pass over the elements, it recovers
 every element's partial augmentations (eps_x, eps_y) on the two order-p
 classes x, y in closed form (`invert_profile`): augmentation one and the
@@ -94,11 +95,12 @@ class UnitGroup:
     computed once per element and kept, so its blocks are entries of the
     power tables; `key` names it exactly and `traces` sums the tables'
     traces (`int`s, unless a table is not integral), both read off those
-    exponents.  The tables are built by real `QMatrix` products; that the
-    exponents may be read mod p (M^p = I) and that the generators are
-    non-trivial, commute and act faithfully is what `verify_unit_group`
-    proves, so an inconsistent presentation makes the verification fail
-    rather than the elements silently wrong.
+    exponents.  The tables are built by real `QMatrix` products; that each
+    holds the powers of its base and the exponents may be read mod p
+    (M^p = I), so the generators commute, and that they are non-trivial
+    and act faithfully is what `verify_unit_group` proves, so an
+    inconsistent presentation makes the verification fail rather than the
+    elements silently wrong.
     """
 
     def __init__(self, table: TableSlice, p: int, support: tuple[str, str],
@@ -223,23 +225,18 @@ def build_psl33_units() -> UnitGroup:
     )
 
 
-def _solve(ug: UnitGroup, traces: dict[str, int | Fraction]
-           ) -> tuple[int | Fraction, int | Fraction]:
-    """`invert_profile` on the per-component `traces` of one element."""
-    values = {ug.distinguished[c]: t for c, t in traces.items()}
-    return invert_profile(ug.solve_rows, values, ug.support)
-
-
-def solve_element(ug: UnitGroup, exps: tuple[int, ...]
+def solve_element(ug: UnitGroup, traces: dict[str, int | Fraction]
                   ) -> tuple[int | Fraction, int | Fraction]:
-    """Partial augmentations on the support, solved exactly from
-    augmentation one and the element's distinguished traces.
+    """Partial augmentations on the support of the element whose
+    per-component traces are `traces` (`ug.traces(exps)`), solved exactly
+    from augmentation one and the distinguished rows by `invert_profile`.
 
     Raises `Inconsistent` when these equations have no common solution
     (possible for PSL(3,3), where two traces and augmentation one pin a
     pair of unknowns).
     """
-    return _solve(ug, ug.traces(exps))
+    values = {ug.distinguished[c]: t for c, t in traces.items()}
+    return invert_profile(ug.solve_rows, values, ug.support)
 
 
 def element_profile(ug: UnitGroup,
@@ -248,7 +245,7 @@ def element_profile(ug: UnitGroup,
     from the element's partial augmentations."""
     if not any(exps):
         return {ch.name: Fraction(ch.degree) for ch in ug.table.chars}
-    ex, ey = solve_element(ug, exps)
+    ex, ey = solve_element(ug, ug.traces(exps))
     x, y = ug.support
     return {ch.name: ex * ch.values[x] + ey * ch.values[y]
             for ch in ug.table.chars}
@@ -264,11 +261,12 @@ def element_profiles(ug: UnitGroup
 def verify_unit_group(ug: UnitGroup) -> dict:
     """Structural and augmentation checks for a constructed unit group.
 
-    Checks: every block base satisfies M^p = I (one product past its power
-    table), so generators have order p unless trivial; generators are
-    non-trivial (some block's key index is not 0) and commute (real block
-    products, one per distinct pair of unequal powers of a base, reported
-    per generator pair and component); the distinguished-component
+    Checks: every power table is the cyclic group of its base M: its entry
+    0 is I and entry k times M is entry k + 1 mod p, one real product per
+    entry, so entry k is M^k and M^p = I.  A generator has order p in a
+    component unless some block at a non-zero exponent has a table failing
+    this, or its key there is all 0 (trivial); powers of one base commute,
+    so the generators commute.  The distinguished-component
     representation is faithful: the p^rank elements have distinct keys,
     so the group order is p^rank.
     One pass over the elements then reads each element's key and traces
@@ -286,38 +284,20 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     problems: list[str] = []
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     keys = [ug.key(exps) for exps in units]
-    comp_names = list(ug.bases)
-    closes = {base: (tab[p - 1] * base).is_identity()
+    # tab[0] = I and tab[k] * M = tab[k + 1 mod p] make tab[k] = M^k and
+    # M^p = I; powers of one base commute, so the generators do too
+    cyclic = {base: tab[0].is_identity()
+              and all(tab[k] * base == tab[(k + 1) % p] for k in range(p))
               for base, tab in ug.powers.items()}
-    # (base, k, l) with k < l -> whether powers k and l of base commute
-    commute: dict[tuple[QMatrix, int, int], bool] = {}
 
     for i in range(rank):
-        for name in comp_names:
+        for name in ug.bases:
             ks = ug.generator_exponents[i][name]
-            periodic = all(closes[base] or k == 0
+            periodic = all(cyclic[base] or k == 0
                            for base, k in zip(ug.bases[name], ks))
             if not periodic or not any(keys[i][name]):
                 problems.append(f"generator {ug.generator_names[i]} "
                                 f"does not have order {p} in {name}")
-        # fails only on a faulty power table, as every block is a power of
-        # one base; ROADMAP item 2 deletes it once item 1a keeps the memory
-        # figure from reading the time saved as a cost.  Equal powers
-        # commute without a product.
-        for j in range(i + 1, rank):
-            for name in comp_names:
-                pairs = {(base, min(k, l), max(k, l)) for base, k, l
-                         in zip(ug.bases[name], keys[i][name], keys[j][name])
-                         if k != l}
-                for pair in pairs - commute.keys():
-                    base, k, l = pair
-                    a, b = ug.powers[base][k], ug.powers[base][l]
-                    commute[pair] = a * b == b * a
-                if not all(commute[pair] for pair in pairs):
-                    problems.append(
-                        f"generators {ug.generator_names[i]}, "
-                        f"{ug.generator_names[j]} do not commute in {name}"
-                    )
 
     xa, xb = ug.support
     distinct = set()
@@ -333,7 +313,7 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             continue
         traces = ug.traces(exps)
         try:
-            ea, eb = _solve(ug, traces)
+            ea, eb = solve_element(ug, traces)
         except Inconsistent as exc:
             unsolved.append(f"element {exps}: {exc}")
             continue

@@ -259,18 +259,29 @@ def test_verify_rejects_base_of_wrong_order():
     assert not report["ok"]
 
 
-def test_verify_rejects_a_power_table_entry_that_does_not_commute():
-    # u = (1, E, A^4, A^3) and v = (1, A, A, A): with A^3 replaced by
-    # I + E_12, which does not commute with A, the last blocks of u and v
-    # no longer commute; M^p = I reads A^4 and the traces and keys were
-    # taken from the true table, so only the commute check can see it
-    ug = build_psl2_units(5, {1, 2})
-    A = ug.bases["eta"][-1]
-    shear = QMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+# group -> (p, pattern), None for PSL(3,3)
+TAMPERED = {"psl2-5": (5, {1, 2}), "psl2-7": (7, {1, 2, 4}), "psl33": (3, None)}
+
+
+@pytest.mark.parametrize("group,k", [
+    pytest.param(group, k, id=f"{group}-k{k}")
+    for group, (p, _members) in TAMPERED.items() for k in range(p)])
+def test_verify_rejects_every_tampered_power_table_entry(group, k):
+    # entry k of A's table replaced by I + E_12, which does not commute
+    # with A; the traces and keys were taken from the true table, so only
+    # the check that the table is the cyclic group of A can see it, and
+    # every generator uses A at a non-zero exponent in every component
+    p, members = TAMPERED[group]
+    ug = build_psl33_units() if members is None else build_psl2_units(p, members)
+    A = companion_cyclotomic(p)
+    shear = QMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(p - 1)]
+                     for i in range(p - 1)])
     assert shear * A != A * shear
-    ug.powers[A][3] = shear
+    ug.powers[A][k] = shear
     report = verify_unit_group(ug)
-    assert report["problems"] == ["generators u, v do not commute in eta"]
+    assert report["problems"] == [
+        f"generator {g} does not have order {p} in {c}"
+        for g in ug.generator_names for c in ug.bases]
     assert report["ok"] is False
 
 
@@ -350,7 +361,7 @@ def test_solve_element_matches_full_table_solve(p, members):
         if not any(exps):
             continue
         forced = _forced_profile(ug, exps)
-        assert solve_element(ug, exps) == invert_profile(
+        assert solve_element(ug, ug.traces(exps)) == invert_profile(
             ug.table.chars, forced, ug.support)
         assert element_profile(ug, exps) == forced
 
