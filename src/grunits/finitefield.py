@@ -12,6 +12,13 @@ exponent (q-1)/2 as the reference they compare against.  The field checks
 on construction that the table holds (q-1)/2 squares, which is true
 exactly when w^2 - t is irreducible, so a square t fails at once.
 
+Every reader of the square-class model checks its one premise on the
+table it reads, with `Fq.check_squares`: the table holds (q-1)/2 elements
+and every y*y, y != 0, so it is the subgroup of index 2 of F_(p^2)^*.
+`square_lines` here, `patterns.realizers` and
+`oracle.check_square_criterion` call it first, so a table altered after
+the field was made fails there rather than answering from wrong squares.
+
 `check_odd_prime` is the one statement of the rule on p that every layer
 taking p applies, with the layer's cap: p must be an odd prime, since at
 p = 2 the quadratic-residue combinatorics degenerates.
@@ -118,6 +125,16 @@ class Fq:
             raise ZeroElement("square status of zero is undefined")
         return x in self.squares
 
+    def check_squares(self) -> None:
+        """Raise unless `squares` is the subgroup of index 2 of F_(p^2)^*:
+        it holds (q-1)/2 elements and every y*y, y != 0, and a field has
+        exactly (q-1)/2 such squares."""
+        squares = self.squares
+        if len(squares) != (self.q - 1) // 2 or any(
+                self.mul(y, y) not in squares
+                for y in self.elements() if y != self.zero):
+            raise AssertionError("square-scaling normalization failed")
+
     def format(self, x: Elem) -> str:
         return f"{x[0]}+{x[1]}*w"
 
@@ -133,16 +150,12 @@ def fq_make(p: int) -> Fq:
 def square_lines(p: int) -> tuple[int, int]:
     """Partition the p+1 lines (1-dim F_p-subspaces) of F_(p^2) by square status.
 
-    Every line is homogeneous because F_p^* consists of squares of F_(p^2);
-    a mixed line would be a genuine failure and raises.
+    Every line is homogeneous: F_p^* has order p-1, which divides (q-1)/2,
+    so it lies in the subgroup of squares that `check_squares` certifies,
+    and c*v has the status of v for c in F_p^*.  Each line is therefore
+    counted by its representative, (1, 0) or (a, 1).
     """
     f = fq_make(p)
-    reps: list[Elem] = [(1, 0)] + [(a, 1) for a in range(p)]
-    n_square = 0
-    for v in reps:
-        statuses = {f.is_square(f.mul(f.scalar(c), v)) for c in range(1, p)}
-        if len(statuses) != 1:
-            raise AssertionError(f"line through {v} is not homogeneous")
-        if statuses.pop():
-            n_square += 1
+    f.check_squares()
+    n_square = sum(map(f.is_square, [(1, 0)] + [(a, 1) for a in range(p)]))
     return n_square, (p + 1) - n_square

@@ -33,6 +33,11 @@ x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the 3-cycle
 permutation matrix for PSL(3,3).  Every power walk stops after the group
 order steps: a faulty product raises an AssertionError naming the element
 instead of looping for ever.
+
+`check_square_criterion` tests the square-class model (u(lam) and u(mu)
+conjugate exactly when mu/lam is a square) once per lam, not per pair,
+on the square table `Fq.check_squares` certifies as the subgroup of index
+2.  It runs wherever the group fits under ORDER_CAP: p <= 7.
 """
 
 from __future__ import annotations
@@ -347,23 +352,22 @@ def cached_group(kind: str, q: int = 3) -> GroupOracle:
 
 def check_square_criterion(p: int) -> bool:
     """Unipotents with parameters lam, mu are conjugate in PSL(2,p^2)
-    exactly when mu/lam is a square of F_(p^2)."""
-    if p not in (3, 5, 7):
-        raise ValueError("exhaustive conjugacy check is limited to p in "
-                         "{3, 5, 7}")
+    exactly when mu/lam is a square of F_(p^2).
+
+    Tested per lam: u(lam) is in u(1)'s class exactly when lam is a square
+    and in u(mu0)'s, mu0 a non-square, exactly when it is not.  The square
+    table is first certified as the subgroup of index 2, so mu/lam is a
+    square exactly when lam and mu share a status, and the two statements
+    are the same: the unipotents split into these two classes, and u(lam),
+    u(mu) share one exactly when lam, mu share a status."""
     f = fq_make(p)
+    f.check_squares()
     group = cached_group("psl2", p * p)
     nonzero = [e for e in f.elements() if e != f.zero]
     mu0 = next(e for e in nonzero if not f.is_square(e))
     c1 = group.conjugacy_class(group.unipotent(f.one))
     ct = group.conjugacy_class(group.unipotent(mu0))
-    in_c1 = {lam: group.unipotent(lam) in c1 for lam in nonzero}
-    for lam in nonzero:
-        if in_c1[lam] == (group.unipotent(lam) in ct):
-            return False  # unipotents must split into exactly these two classes
-    for lam in nonzero:
-        for mu in nonzero:
-            same = in_c1[lam] == in_c1[mu]
-            if same != f.is_square(f.mul(mu, f.inv(lam))):
-                return False
-    return True
+    # (u in c1) == square != (u in ct): in c1 exactly when lam is a square,
+    # in ct exactly when it is not
+    return all((group.unipotent(lam) in c1) == f.is_square(lam)
+               != (group.unipotent(lam) in ct) for lam in nonzero)

@@ -28,10 +28,9 @@ per pattern, the first mu in field order realizing it with g = 1: the
 table a scan of every non-square keeps.  That one table answers every
 realizability question (`group_patterns`, `gap_report`, the Valenti
 search), and it is built only after both lemmas' premise is checked on
-the square table it reads: `f.squares` holds (q-1)/2 elements and every
-y*y, y != 0; a field has (q-1)/2 such squares, so the table is exactly
-their subgroup.  p is capped at MAX_PRIME, the largest prime at which the
-tests check the count.
+the square table it reads, by `finitefield.Fq.check_squares`: the table is
+exactly the subgroup of squares.  p is capped at MAX_PRIME, the largest
+prime at which the tests check the count.
 """
 
 from __future__ import annotations
@@ -61,16 +60,14 @@ def _pattern_of(f, lam, mu) -> frozenset[int]:
 def realizers(p: int) -> dict[frozenset[int], tuple[int, int]]:
     """Each pattern realized by a pair (g, h), g square class, h non-square,
     with the first non-square mu in field order whose pair (1, mu) realizes
-    it; the square table is checked first to be exactly the squares, the
-    premise of normalizing g to 1 and of scanning only mu = c + d*w with
-    2d < p, each the earlier of its Frobenius pair {mu, mu^p}."""
+    it; `Fq.check_squares` first certifies the square table as exactly the
+    squares, the premise of normalizing g to 1 and of scanning only
+    mu = c + d*w with 2d < p, each the earlier of its Frobenius pair
+    {mu, mu^p}."""
     check_odd_prime(p, MAX_PRIME)
     f = fq_make(p)
+    f.check_squares()
     squares = f.squares
-    nonzero = [e for e in f.elements() if e != f.zero]
-    if len(squares) != (f.q - 1) // 2 or any(
-            f.mul(y, y) not in squares for y in nonzero):
-        raise AssertionError("square-scaling normalization failed")
     table = {}
     for mu in product(range(p), range(1, (p + 1) // 2)):
         if mu not in squares:

@@ -4,7 +4,9 @@ import re
 import pytest
 
 import grunits
+from grunits import oracle
 from grunits.chardata import data_dir
+from grunits.finitefield import fq_make
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -15,6 +17,17 @@ def src_on_pythonpath():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
         yield
+
+
+@pytest.fixture
+def fresh_fields():
+    """Drop the fields and groups cached before and during the test, so
+    none built on a faulty field or group outlives it."""
+    fq_make.cache_clear()
+    oracle.cached_group.cache_clear()
+    yield
+    fq_make.cache_clear()
+    oracle.cached_group.cache_clear()
 
 
 # row renames that keep the shipped PSL(3,3) table orthogonal but break what

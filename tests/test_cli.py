@@ -280,7 +280,10 @@ TRACED_COUNTS = {
     ("invariants",): {
         "constructions.build": 2, "constructions.verify": 2,
         "matrices.qmatrix_mul": 23, "partialaug.invert": 50,
-        "oracle.enumerate_group": 2, "oracle.square_criterion": 1},
+        "oracle.enumerate_group": 2, "oracle.square_criterion": 1,
+        # 8 line representatives at p = 7; at p = 3, 4 to find a non-square
+        # and 1 per nonzero lam
+        "finitefield.is_square": 20},
 }
 
 

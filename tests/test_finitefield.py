@@ -1,6 +1,8 @@
 import pytest
 
+from grunits import finitefield
 from grunits.finitefield import (
+    Fq,
     ZeroElement,
     check_odd_prime,
     fq_make,
@@ -107,6 +109,18 @@ def test_square_lines_examples(p, expected):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_square_lines_balanced(p):
     assert square_lines(p) == ((p + 1) // 2, (p + 1) // 2)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_square_lines_reject_a_table_that_is_not_the_squares(p, monkeypatch):
+    # 2 is a square of F_(p^2) but no line's representative, so only the
+    # premise check sees it missing
+    broken = Fq(p)
+    broken.squares = broken.squares - {(2, 0)}
+    monkeypatch.setattr(finitefield, "fq_make", lambda p: broken)
+    with pytest.raises(AssertionError,
+                       match="square-scaling normalization failed"):
+        square_lines(p)
 
 
 def test_encode_roundtrip_and_format():

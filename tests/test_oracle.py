@@ -306,6 +306,35 @@ def test_square_criterion(p):
     assert check_square_criterion(p)
 
 
+@pytest.mark.parametrize("p,message", [
+    (11, "PSL(2,121) exceeds the enumeration cap"),
+    (9, "p must be an odd prime"),
+    (2, "p must be an odd prime"),
+])
+def test_square_criterion_rejects_what_the_oracle_cannot_enumerate(p,
+                                                                   message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_square_criterion(p)
+
+
+def test_square_criterion_fails_when_every_unipotent_is_in_one_class(
+        fresh_fields, monkeypatch):
+    # lam -> u(lam^2): every parameter is a square, so every unipotent lands
+    # in u(1)'s class, non-square lam included
+    f, unipotent = fq_make(3), PSL2.unipotent
+    monkeypatch.setattr(PSL2, "unipotent",
+                        lambda self, lam: unipotent(self, f.mul(lam, lam)))
+    assert not check_square_criterion(3)
+
+
+def test_square_criterion_checks_its_square_table_first(fresh_fields):
+    field = fq_make(3)
+    field.squares = field.squares - {(2, 0)}
+    with pytest.raises(AssertionError,
+                       match="square-scaling normalization failed"):
+        check_square_criterion(3)
+
+
 def test_too_large_guard():
     with pytest.raises(ValueError, match="exceeds the enumeration cap"):
         PSL2(11)
