@@ -110,9 +110,6 @@ class Fq:
         ninv = pow(n, p - 2, p)
         return ((a * ninv) % p, (-b * ninv) % p)
 
-    def scalar(self, c: int) -> Elem:
-        return (c % self.p, 0)
-
     def elements(self):
         for a in range(self.p):
             for b in range(self.p):
@@ -133,7 +130,8 @@ class Fq:
         if len(squares) != (self.q - 1) // 2 or any(
                 self.mul(y, y) not in squares
                 for y in self.elements() if y != self.zero):
-            raise AssertionError("square-scaling normalization failed")
+            raise AssertionError(f"square table is not the subgroup of "
+                                 f"squares of F_{self.q}^*")
 
     def format(self, x: Elem) -> str:
         return f"{x[0]}+{x[1]}*w"

@@ -24,15 +24,21 @@ x^j is recorded with order k / gcd(j, k), read from one list per k.  Each
 group walks its powers itself (`power_positions`): the product acc * x is
 `mul` inlined, with x's product rows (PSL(2,p^2)) or spread rows
 (PSL(3,3)) bound once per walk, and the tests pin it to repeated `mul`.
-The walk finds each power's position in an element->position look-up that
-`orders` builds for itself, so listing a group (`invariants` reads the
-order of PSL(2,9), and of PSL(3,3) the order and two conjugacy orbits)
-builds none.  The exponent and the order-p classes read that list.
+The walk reads each power's position off the listing's own layout, which
+`generate` records in the loop that lists the elements: the start of each
+first row's block in PSL(2,p^2), where c (or d when a = 0) is the offset,
+and in PSL(3,3) the start of each pair of first rows' block with the rank
+of each third row among those of determinant 1.  A row the listing never
+holds is UNLISTED, and a PSL(2,p^2) power is listed only when its other
+entry matches the element at its place, so membership stays exact; no
+tuple is built per step.  The exponent and the order-p classes read the
+list of orders.
 Conjugacy orbits walk a small generating set with `mul`: the unipotents
 x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the 3-cycle
 permutation matrix for PSL(3,3).  Every power walk stops after the group
-order steps: a faulty product raises an AssertionError naming the element
-instead of looping for ever.
+order steps, and the order walk also at a power outside the listing: a
+faulty product raises an AssertionError naming the element instead of
+looping for ever.
 
 `check_square_criterion` tests the square-class model (u(lam) and u(mu)
 conjugate exactly when mu/lam is a square) once per lam, not per pair,
@@ -51,6 +57,9 @@ from .finitefield import check_odd_prime, fq_make
 
 
 ORDER_CAP = 100_000
+# the layout's mark for a row that leads no listed element: any offset added
+# to it stays below every position, and below -ORDER_CAP
+UNLISTED = -2 * ORDER_CAP
 
 
 class GroupOracle:
@@ -61,10 +70,10 @@ class GroupOracle:
     the order-p classes, in increasing order), `identity`, `generators`
     (a generating set, which the conjugacy orbits walk), the product
     `mul`, which returns the canonical representative, `generate`, which
-    lists the group in increasing order, and `power_positions(x, index)`,
-    the positions in `index` of x, x^2, ..., up to the identity: a
-    `KeyError` when a power is not listed, and the `_no_identity(x)` error
-    after the group order steps.
+    lists the group in increasing order and records its layout, and
+    `power_positions(x)`, the positions in `elements` of x, x^2, ..., up
+    to the identity, read off that layout: the `_no_identity(x)` error when
+    a power is not listed or after the group order steps.
     """
 
     def __init__(self) -> None:
@@ -100,17 +109,12 @@ class GroupOracle:
     def orders(self) -> list[int]:
         """The order of each element, in the order of `elements`."""
         if self._orders is None:
-            # each power's position in the listing, which only this walk reads
-            index = {e: i for i, e in enumerate(self.elements)}
             walk, orders = self.power_positions, [0] * len(self.elements)
             by_length = {}  # k -> [k // gcd(j, k) for j = 1, ..., k]
             for i, x in enumerate(self.elements):
                 if orders[i]:
                     continue
-                try:
-                    powers = walk(x, index)
-                except KeyError:  # a power left the listing
-                    raise self._no_identity(x) from None
+                powers = walk(x)
                 k = len(powers)
                 if k not in by_length:
                     by_length[k] = [k // gcd(j, k) for j in range(1, k + 1)]
@@ -210,23 +214,37 @@ class PSL2(GroupOracle):
         neg = self._neg
         return (neg[a], neg[b], neg[c], neg[d])
 
-    def power_positions(self, x, index) -> list[int]:
+    def power_positions(self, x) -> list[int]:
         # `mul(acc, x)` inlined, with x's product rows bound once: the field
-        # commutes, so prod[a][e] is prod[e][a]
+        # commutes, so prod[a][e] is prod[e][a].  (a, b, c, d) is listed at
+        # its first row's start plus c, or plus d when a = 0, exactly when
+        # the listed element there has its other entry
         s, leads, neg = self._sum, self._leads, self._neg
+        start, listed, q = self._start, self.elements, len(neg)
         prod, (e, g, h, i) = self._prod, x
         pe, pg, ph, pi = prod[e], prod[g], prod[h], prod[i]
-        identity, acc, (a, b, c, d) = self.identity, x, x
-        positions = [index[x]]
-        for _ in range(self.expected_order):
-            if acc == identity:
-                return positions
-            a, b = s[pe[a]][ph[b]], s[pg[a]][pi[b]]
-            c, d = s[pe[c]][ph[d]], s[pg[c]][pi[d]]
-            if not leads[a or b or c or d]:
-                a, b, c, d = neg[a], neg[b], neg[c], neg[d]
-            acc = (a, b, c, d)
-            positions.append(index[acc])
+        # the identity (1, 0, 0, 1) opens its row's block
+        home, (a, b, c, d) = start[self.identity[0] * q], x
+        positions = []
+        try:
+            for _ in range(self.expected_order):
+                if a:
+                    at = start[a * q + b] + c
+                    if listed[at][3] != d:
+                        break
+                else:
+                    at = start[b] + d
+                    if listed[at][2] != c:
+                        break
+                positions.append(at)
+                if at == home:
+                    return positions
+                a, b = s[pe[a]][ph[b]], s[pg[a]][pi[b]]
+                c, d = s[pe[c]][ph[d]], s[pg[c]][pi[d]]
+                if not leads[a or b or c or d]:
+                    a, b, c, d = neg[a], neg[b], neg[c], neg[d]
+        except IndexError:  # an UNLISTED first row
+            pass
         raise self._no_identity(x)
 
     def generate(self) -> list[tuple]:
@@ -234,15 +252,19 @@ class PSL2(GroupOracle):
         # v, and the matrix is canonical when v < -v.  Each such row has q
         # second rows (c, d) with ad - bc = 1: d = (1 + bc)/a for each c
         # when a != 0, and c = -1/b with d free when a = 0.  Listing c, or
-        # d, in code order keeps the whole list increasing.
+        # d, in code order keeps the whole list increasing.  The layout
+        # `_start` holds each first row's block start, or UNLISTED.
         prod, neg, inv = self._prod, self._neg, self._inv
         plus_one = self._sum[self.identity[0]]
         codes = range(len(neg))
-        out = []
+        out, self._start = [], []
+        start = self._start
         for a, b in product(codes, repeat=2):
             v = a or b
             if not v or v > neg[v]:
+                start.append(UNLISTED)
                 continue
+            start.append(len(out))
             if a:
                 by_b, over_a = prod[b], prod[inv[a]]
                 out.extend((a, b, c, over_a[plus_one[by_b[c]]])
@@ -288,33 +310,48 @@ class PSL3(GroupOracle):
         return (mod3[a * u + b * v + c * w], mod3[d * u + e * v + f_ * w],
                 mod3[g * u + h * v + i * w])
 
-    def power_positions(self, x, index) -> list[int]:
-        # `mul(acc, x)` inlined, with x's spread rows bound once
+    def power_positions(self, x) -> list[int]:
+        # `mul(acc, x)` inlined, with x's spread rows bound once; a power is
+        # at its first two rows' block start plus its third row's rank, which
+        # is UNLISTED unless the determinant is 1
         rows, spread, mod3 = self._rows, self._spread, self._mod3
-        identity, acc, (x1, x2, x3) = self.identity, x, x
+        start, rank = self._start, self._rank
+        (i1, i2, i3), (x1, x2, x3) = self.identity, x
+        home = start[27 * i1 + i2] + rank[27 * i1 + i2][i3]
         u, v, w = spread[x1], spread[x2], spread[x3]
-        positions = [index[x]]
+        positions = []
         for _ in range(self.expected_order):
-            if acc == identity:
+            pair = 27 * x1 + x2
+            at = start[pair] + rank[pair][x3]
+            if at < 0:
+                break
+            positions.append(at)
+            if at == home:
                 return positions
             (a, b, c), (d, e, f_), (g, h, i) = rows[x1], rows[x2], rows[x3]
-            x1, x2, x3 = acc = (mod3[a * u + b * v + c * w],
-                                mod3[d * u + e * v + f_ * w],
-                                mod3[g * u + h * v + i * w])
-            positions.append(index[acc])
+            x1, x2, x3 = (mod3[a * u + b * v + c * w],
+                          mod3[d * u + e * v + f_ * w],
+                          mod3[g * u + h * v + i * w])
         raise self._no_identity(x)
 
     def generate(self) -> list[tuple]:
         # det [r1; r2; r3] = r3 . (r1 x r2), so each pair of first rows takes
         # the third rows r3 with r3 . n = 1 for n = r1 x r2, none when n = 0;
-        # rows in code order keep the whole list increasing
+        # rows in code order keep the whole list increasing.  The layout
+        # holds each pair's block start and, per n, each r3's rank among
+        # those rows, or UNLISTED.
         rows = list(enumerate(self._rows))
         thirds = [[r for r, (a, b, c) in rows if (a * k + b * l_ + c * m) % 3
                    == 1] for _n, (k, l_, m) in rows]
-        out = []
+        ranks = [[t.index(r) if r in t else UNLISTED for r, _row in rows]
+                 for t in thirds]
+        out, self._start, self._rank = [], [], []
+        start, rank = self._start, self._rank
         for (r1, (a, b, c)), (r2, (d, e, f_)) in product(rows, repeat=2):
             n = 9 * ((b * f_ - c * e) % 3) + 3 * ((c * d - a * f_) % 3) + (
                 a * e - b * d) % 3
+            start.append(len(out))
+            rank.append(ranks[n])
             out.extend((r1, r2, r3) for r3 in thirds[n])
         return out
 

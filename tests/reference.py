@@ -239,6 +239,6 @@ def full_scan_realizers(f) -> dict[frozenset[int], tuple[int, int]]:
         if mu != f.zero and mu not in f.squares:
             pattern = frozenset(
                 i for i in range(1, f.p)
-                if f.add(f.one, f.mul(f.scalar(i), mu)) in f.squares)
+                if f.add(f.one, f.mul((i, 0), mu)) in f.squares)
             table.setdefault(pattern, mu)
     return table

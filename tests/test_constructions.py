@@ -102,7 +102,7 @@ def test_valenti_search_agrees_with_group_patterns(p):
         assert not f.is_square(h)
         # 1 + i*h is never 0: -1/i lies in F_p, and F_p consists of squares
         realized = {i for i in range(1, p)
-                    if f.is_square(f.add(f.one, f.mul(f.scalar(i), h)))}
+                    if f.is_square(f.add(f.one, f.mul((i, 0), h)))}
         assert realized == target
         assert witness["pattern"] == sorted(target)
 

@@ -191,7 +191,8 @@ def test_field_fault_matrix(fresh_fields, monkeypatch, capsys):
 
 
 # the check, `Fq.check_squares`, that a square table is exactly the squares
-NOT_CLOSED = "invalid: square-scaling normalization failed"
+NOT_CLOSED = ("invalid: square table is not the subgroup of squares of "
+              "F_49^*")
 
 # command at p = 7 -> its cell when F_49's square table misses 2 = 3^2: a
 # Valenti search reading the normalized scan alone would give {1,2,4} its

@@ -214,9 +214,9 @@ def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
         taken = 0
         walk = type(g).power_positions
 
-        def counted(self, x, index):
+        def counted(self, x):
             nonlocal taken
-            positions = walk(self, x, index)
+            positions = walk(self, x)
             taken += len(positions) - 1
             return positions
 
@@ -229,7 +229,9 @@ def test_orders_take_one_walk_per_cyclic_subgroup(monkeypatch):
 
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_power_walk_is_repeated_mul(kind, q):
-    # the walk inlines `mul`, and is pinned to it on every element
+    # the walk inlines `mul`, and is pinned to it on every element; it reads
+    # positions off the listing's layout, so this look-up, built from the
+    # listing itself, also pins the layout to every listed element
     g = cached_group(kind, q)
     index = {e: i for i, e in enumerate(g.elements)}
     for x in g.elements:
@@ -237,7 +239,7 @@ def test_power_walk_is_repeated_mul(kind, q):
         while acc != g.identity:
             acc = g.mul(acc, x)
             want.append(index[acc])
-        assert g.power_positions(x, index) == want
+        assert g.power_positions(x) == want
 
 
 @pytest.fixture
@@ -278,6 +280,39 @@ def test_a_faulty_canon_fails_the_order_walks(alarm):
     with pytest.raises(AssertionError,
                        match=re.escape(f"PSL(2,9): the powers of {first} miss")):
         g.orders()
+
+
+def test_a_wrong_dependent_entry_fails_the_walk(alarm):
+    # 0 + 1 -> 0 where x(1)'s powers read it: x(1)^2 keeps the listed first
+    # row (1, 2) and c = 0, but gets d = 0 where the listed element has 1
+    g = PSL2(3).enumerate()
+    x, one = g.generators[0], g.identity[0]
+    g._sum[0][one] = 0
+    a, b, c, d = g.mul(x, x)
+    listed = g.elements[g._start[a * 9 + b] + c]
+    assert listed[:3] == (a, b, c) and listed[3] != d
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"PSL(2,9): the powers of {x} miss")):
+        g.power_positions(x)
+
+
+@pytest.mark.parametrize("kind,q", GROUPS[:2])
+def test_the_walk_refuses_every_element_outside_the_listing(alarm, kind, q):
+    # -x leads with a row that leads no listed element; x with its first row
+    # doubled has determinant 2.  Each power walk must stop at its first
+    # power, though `mul` brings some of them back to the identity
+    g = cached_group(kind, q)
+    if kind == "psl2":
+        outside = [tuple(g._neg[v] for v in x) for x in g.elements]
+    else:
+        code = {row: r for r, row in enumerate(g._rows)}
+        outside = [(code[tuple(2 * v % 3 for v in g._rows[x1])], x2, x3)
+                   for x1, x2, x3 in g.elements]
+    assert not set(outside) & set(g.elements)
+    for y in outside:
+        with pytest.raises(AssertionError, match=re.escape(
+                f"{g.name}: the powers of {y} miss")):
+            g.power_positions(y)
 
 
 def test_a_faulty_mod3_table_fails_the_order_walks(alarm):
@@ -330,8 +365,8 @@ def test_square_criterion_fails_when_every_unipotent_is_in_one_class(
 def test_square_criterion_checks_its_square_table_first(fresh_fields):
     field = fq_make(3)
     field.squares = field.squares - {(2, 0)}
-    with pytest.raises(AssertionError,
-                       match="square-scaling normalization failed"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "square table is not the subgroup of squares of F_9^*")):
         check_square_criterion(3)
 
 
