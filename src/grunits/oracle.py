@@ -33,12 +33,16 @@ holds is UNLISTED, and a PSL(2,p^2) power is listed only when its other
 entry matches the element at its place, so membership stays exact; no
 tuple is built per step.  The exponent and the order-p classes read the
 list of orders.
-Conjugacy orbits walk a small generating set with `mul`: the unipotents
-x(1), x(w) and y(1) for PSL(2,p^2), and I + E_12 with the 3-cycle
-permutation matrix for PSL(3,3).  Every power walk stops after the group
-order steps, and the order walk also at a power outside the listing: a
-faulty product raises an AssertionError naming the element instead of
-looping for ever.
+Conjugacy orbits are lists of positions too (`orbit_positions`), walked
+breadth first under conjugation by two generators: x(1) and y(1 + w) for
+PSL(2,p^2), I + E_12 and the 3-cycle permutation matrix for PSL(3,3).
+Each pair (g^-1, g) is found once per group with `mul`; each conjugate
+g^-1 y g is `mul` inlined, with the pair's rows bound once, and its
+position is read off the layout, so a conjugate outside the listing raises
+an AssertionError naming y.  Every power walk stops after the group order
+steps, and the order walk also at a power outside the listing: a faulty
+product raises an AssertionError naming the element instead of looping
+for ever.
 
 `check_square_criterion` tests the square-class model (u(lam) and u(mu)
 conjugate exactly when mu/lam is a square) once per lam, not per pair,
@@ -49,7 +53,8 @@ on the square table `Fq.check_squares` certifies as the subgroup of index
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
@@ -68,12 +73,15 @@ class GroupOracle:
     A subclass describes one group: `name`, modulus `p`, the closed forms
     `expected_order`, `expected_exponent` and `expected_class_sizes` (of
     the order-p classes, in increasing order), `identity`, `generators`
-    (a generating set, which the conjugacy orbits walk), the product
-    `mul`, which returns the canonical representative, `generate`, which
-    lists the group in increasing order and records its layout, and
-    `power_positions(x)`, the positions in `elements` of x, x^2, ..., up
-    to the identity, read off that layout: the `_no_identity(x)` error when
-    a power is not listed or after the group order steps.
+    (two elements that generate the group, the conjugators of every
+    orbit), the product `mul`, which returns the canonical representative,
+    `generate`, which lists the group in increasing order and records its
+    layout, `power_positions(x)`, the positions in `elements` of x, x^2,
+    ..., up to the identity, read off that layout: the `_no_identity(x)`
+    error when a power is not listed or after the group order steps, and
+    `orbit_positions(i)`, the positions of the class of the element at
+    position i in breadth-first order: the `_left_listing(y)` error when a
+    conjugate of y is not listed.
     """
 
     def __init__(self) -> None:
@@ -126,10 +134,12 @@ class GroupOracle:
     def exponent(self) -> int:
         return lcm(*set(self.orders()))
 
-    def conjugacy_class(self, x) -> set:
-        # g^-1 is a power of g, so the generators alone give the whole orbit;
-        # it is the last power of g before the identity
-        mul, conjugators = self.mul, []
+    @cached_property
+    def _conjugators(self) -> list[tuple]:
+        # (g^-1, g) per generator, found once per group: g^-1 is the last
+        # power of g before the identity, so the generators alone give the
+        # whole orbit
+        mul, pairs = self.mul, []
         for g in self.generators:
             ginv = g
             for _ in range(self.expected_order):
@@ -138,30 +148,30 @@ class GroupOracle:
                 ginv = nxt
             else:
                 raise self._no_identity(g)
-            conjugators.append((ginv, g))
-        orbit, frontier = {x}, [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for ginv, g in conjugators:
-                    z = mul(mul(ginv, y), g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return orbit
+            pairs.append((ginv, g))
+        return pairs
+
+    def _left_listing(self, x) -> AssertionError:
+        return AssertionError(f"{self.name}: a conjugate of {x} is unlisted")
+
+    def conjugacy_class(self, x) -> set:
+        listed = self.elements
+        i = bisect_left(listed, x)
+        if listed[i:i + 1] != [x]:
+            raise ValueError(f"{self.name}: {x} is not listed")
+        return {listed[at] for at in self.orbit_positions(i)}
 
     def order_p_classes(self) -> list[tuple]:
         """(minimal representative, class size) for each class of elements
         whose order is the group's own modulus `p`, in increasing order."""
-        remaining = {x for x, k in zip(self.elements, self.orders())
-                     if k == self.p}
-        classes = []
-        while remaining:
-            rep = min(remaining)
-            orbit = self.conjugacy_class(rep)
-            classes.append((rep, len(orbit)))
-            remaining -= orbit
+        flags = bytearray(map(self.p.__eq__, self.orders()))
+        classes, i = [], flags.find(1)
+        while i >= 0:
+            orbit = self.orbit_positions(i)
+            classes.append((self.elements[i], len(orbit)))
+            for at in orbit:
+                flags[at] = 0
+            i = flags.find(1, i)
         return classes
 
 
@@ -198,9 +208,9 @@ class PSL2(GroupOracle):
         self._inv = [0] + [code[f.inv(x)] for x in field[1:]]
         one = code[f.one]
         self.identity = (one, 0, 0, one)
-        # x(1), x(w) and y(1); y(w) is not needed
-        self.generators = [(one, one, 0, one), (one, 1, 0, one),
-                           (one, 0, one, one)]
+        # x(1) and y(1 + w), code(1 + w) = p + 1; with y(w) in its place
+        # they would generate only A_5 at q = 9
+        self.generators = [(one, one, 0, one), (one, 0, one + 1, one)]
 
     def mul(self, x, y):
         prod, s = self._prod, self._sum
@@ -246,6 +256,33 @@ class PSL2(GroupOracle):
         except IndexError:  # an UNLISTED first row
             pass
         raise self._no_identity(x)
+
+    def orbit_positions(self, i: int) -> list[int]:
+        # g^-1 y g is `mul` inlined twice, with the conjugator's eight product
+        # rows bound once; -t g = -(t g), so the sign rule applies once, at
+        # the end.  The position is read as in `power_positions`, and holds
+        # the conjugate only when the element listed there is equal to it
+        s, leads, neg, prod = self._sum, self._leads, self._neg, self._prod
+        start, listed, q = self._start, self.elements, len(neg)
+        rows = [[prod[v] for v in ginv + g] for ginv, g in self._conjugators]
+        seen, orbit = bytearray(len(listed)), [i]
+        seen[i] = 1
+        for y in orbit:
+            a, b, c, d = x = listed[y]
+            for pa, pb, pc, pd, pe, pg, ph, pi in rows:
+                t1, t2 = s[pa[a]][pb[c]], s[pa[b]][pb[d]]
+                t3, t4 = s[pc[a]][pd[c]], s[pc[b]][pd[d]]
+                z1, z2 = s[pe[t1]][ph[t2]], s[pg[t1]][pi[t2]]
+                z3, z4 = s[pe[t3]][ph[t4]], s[pg[t3]][pi[t4]]
+                if not leads[z1 or z2 or z3 or z4]:
+                    z1, z2, z3, z4 = neg[z1], neg[z2], neg[z3], neg[z4]
+                at = start[z1 * q + z2] + z3 if z1 else start[z2] + z4
+                if at < 0 or listed[at] != (z1, z2, z3, z4):
+                    raise self._left_listing(x)
+                if not seen[at]:
+                    seen[at] = 1
+                    orbit.append(at)
+        return orbit
 
     def generate(self) -> list[tuple]:
         # A first row (a, b) is nonzero, so it holds the first nonzero entry
@@ -333,6 +370,33 @@ class PSL3(GroupOracle):
                           mod3[d * u + e * v + f_ * w],
                           mod3[g * u + h * v + i * w])
         raise self._no_identity(x)
+
+    def orbit_positions(self, i: int) -> list[int]:
+        # g^-1 y g: g^-1's rows times y's spread rows, then "times g" as a
+        # map on the 27 rows.  Positions as in `power_positions`
+        rows, spread, mod3 = self._rows, self._spread, self._mod3
+        start, rank, listed = self._start, self._rank, self.elements
+        maps = []
+        for ginv, (g1, g2, g3) in self._conjugators:
+            u, v, w = spread[g1], spread[g2], spread[g3]
+            maps.append((*(rows[r] for r in ginv),
+                         [mod3[a * u + b * v + c * w] for a, b, c in rows]))
+        seen, orbit = bytearray(len(listed)), [i]
+        seen[i] = 1
+        for y in orbit:
+            x = x1, x2, x3 = listed[y]
+            u, v, w = spread[x1], spread[x2], spread[x3]
+            for (a, b, c), (d, e, f_), (g, h, k), times in maps:
+                z1 = times[mod3[a * u + b * v + c * w]]
+                z2 = times[mod3[d * u + e * v + f_ * w]]
+                z3 = times[mod3[g * u + h * v + k * w]]
+                at = start[27 * z1 + z2] + rank[27 * z1 + z2][z3]
+                if at < 0:
+                    raise self._left_listing(x)
+                if not seen[at]:
+                    seen[at] = 1
+                    orbit.append(at)
+        return orbit
 
     def generate(self) -> list[tuple]:
         # det [r1; r2; r3] = r3 . (r1 x r2), so each pair of first rows takes

@@ -14,12 +14,15 @@ scan's direct listing and padded integer dot products are pinned against.
 :func:`closure` finds a group by breadth-first closure under its
 generators; the oracle lists it from its definition instead, and is
 pinned against this.
-:func:`full_class_partition` splits a whole oracle group into conjugacy
-classes.  :func:`fq_pow` (the Euler criterion's power), :func:`matrix_pow`
-and :func:`block_trace` are the square-and-multiply powers and the block
-trace that no command needs.  :func:`element_blocks` assembles a unit
-group's element as block-diagonal matrices from its power tables; the
-unit group itself names elements by keys and never builds them.
+:func:`conjugation_orbits` splits a union of an oracle group's classes into
+orbits with `mul` alone, and :func:`full_class_partition` a whole group;
+the oracle walks its orbits on listing positions with the conjugation
+inlined, and is pinned against these.  :func:`fq_pow` (the Euler
+criterion's power), :func:`matrix_pow` and :func:`block_trace` are the
+square-and-multiply powers and the block trace that no command needs.
+:func:`element_blocks` assembles a unit group's element as block-diagonal
+matrices from its power tables; the unit group itself names elements by
+keys and never builds them.
 :func:`fraction_traces` and :func:`fraction_invert_profile` are the
 partial-augmentation solve in `Fraction`s throughout, which the integer
 solve in `grunits.constructions` is pinned against.
@@ -138,16 +141,37 @@ def closure(group) -> list[tuple]:
     return sorted(seen)
 
 
+def conjugation_orbits(group, among) -> list[tuple]:
+    """(minimal representative, orbit) for each conjugacy class in
+    `among`, a union of classes of an enumerated oracle group, in
+    increasing order of representative.  The orbits use `mul` alone: each
+    generator's inverse is found by search, not as a power, and an orbit is
+    closed under conjugation by every generator and its inverse."""
+    mul, conjugators = group.mul, []
+    for g in group.generators:
+        ginv = next(x for x in group.elements if mul(g, x) == group.identity)
+        conjugators += [(ginv, g), (g, ginv)]
+    remaining, orbits = set(among), []
+    while remaining:
+        rep = min(remaining)
+        orbit, frontier = {rep}, [rep]
+        while frontier:
+            y = frontier.pop()
+            for hinv, h in conjugators:
+                z = mul(mul(hinv, y), h)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        orbits.append((rep, orbit))
+        remaining -= orbit
+    return orbits
+
+
 def full_class_partition(group) -> list[tuple]:
     """(minimal representative, class size) for every conjugacy class of
     an enumerated oracle group, in increasing order of representative."""
-    remaining, classes = set(group.elements), []
-    while remaining:
-        rep = min(remaining)
-        orbit = group.conjugacy_class(rep)
-        classes.append((rep, len(orbit)))
-        remaining -= orbit
-    return classes
+    return [(rep, len(orbit))
+            for rep, orbit in conjugation_orbits(group, group.elements)]
 
 
 def fq_pow(f, x, k: int):

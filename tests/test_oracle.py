@@ -14,7 +14,7 @@ from grunits.oracle import (
     check_square_criterion,
     enumerate_group,
 )
-from reference import closure, full_class_partition
+from reference import closure, conjugation_orbits, full_class_partition
 
 
 def test_psl2_9_order_and_classes():
@@ -68,8 +68,9 @@ def test_orders_match_element_order(kind, q):
     assert g.orders() == [g.element_order(x) for x in g.elements]
 
 
-@pytest.mark.parametrize("kind,q", GROUPS[:2])
+@pytest.mark.parametrize("kind,q", GROUPS)
 def test_class_lists_are_minimal_representatives_in_order(kind, q):
+    # the partition is the reference's, by `mul` alone
     g = cached_group(kind, q)
     partition = full_class_partition(g)
     reps = [rep for rep, _size in partition]
@@ -78,7 +79,8 @@ def test_class_lists_are_minimal_representatives_in_order(kind, q):
         orbit = g.conjugacy_class(rep)
         assert min(orbit) == rep and len(orbit) == size
     order = dict(zip(g.elements, g.orders()))
-    assert g.order_p_classes() == [c for c in partition if order[c[0]] == 3]
+    assert g.order_p_classes() == [c for c in partition
+                                   if order[c[0]] == g.p]
 
 
 def test_invariants_walks_both_order_3_classes_of_psl3():
@@ -94,21 +96,52 @@ def test_invariants_walks_both_order_3_classes_of_psl3():
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_conjugacy_class_is_orbit_under_generators_and_inverses(kind, q):
     g = cached_group(kind, q)
-    # inverses by search, independent of the power walk conjugacy_class uses
-    inv = {h: next(x for x in g.elements if g.mul(h, x) == g.identity)
-           for h in g.generators}
-    inv.update({hinv: h for h, hinv in list(inv.items())})
-    for rep, size in g.order_p_classes():
-        orbit, frontier = {rep}, [rep]
-        while frontier:
-            y = frontier.pop()
-            for h, hinv in inv.items():
-                z = g.mul(g.mul(hinv, y), h)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
+    # the reference finds each generator's inverse by search, independent
+    # of the power walk the oracle uses, and conjugates with `mul` alone
+    order_p = [x for x, k in zip(g.elements, g.orders()) if k == g.p]
+    orbits = conjugation_orbits(g, order_p)
+    assert g.order_p_classes() == [(rep, len(orbit)) for rep, orbit in orbits]
+    for rep, orbit in orbits:
         assert g.conjugacy_class(rep) == orbit
-        assert len(orbit) == size
+
+
+@pytest.mark.parametrize("kind,q", GROUPS)
+def test_each_conjugation_is_mul_twice(kind, q, monkeypatch):
+    # with one conjugator pair, the orbit of y is walked as y, c(y),
+    # c(c(y)), ... until it comes back to y, c(y) = g^-1 y g: so each
+    # inlined conjugation is pinned to mul(mul(g^-1, y), g) on every listed
+    # element, and each pair to g and its inverse found by search
+    g = cached_group(kind, q)
+    index = {e: i for i, e in enumerate(g.elements)}
+    pairs = g._conjugators
+    assert pairs == [(next(x for x in g.elements
+                           if g.mul(h, x) == g.identity), h)
+                     for h in g.generators]
+    for ginv, h in pairs:
+        monkeypatch.setattr(g, "_conjugators", [(ginv, h)])
+        for i, y in enumerate(g.elements):
+            want, z = [i], g.mul(g.mul(ginv, y), h)
+            while z != y:
+                want.append(index[z])
+                z = g.mul(g.mul(ginv, z), h)
+            assert g.orbit_positions(i) == want
+
+
+def test_conjugacy_class_refuses_an_element_outside_the_listing():
+    g = cached_group("psl2", 9)
+    y = tuple(g._neg[v] for v in g.generators[0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"PSL(2,9): {y} is not listed")):
+        g.conjugacy_class(y)
+
+
+def test_y_w_would_not_generate_psl2_9():
+    # the second generator is y(1 + w): with y(w), code 1, in its place the
+    # closure is A_5, of order 60, not the 360 elements of PSL(2,9)
+    g = PSL2(3)
+    one = g.identity[0]
+    g.generators = [g.generators[0], (one, 0, 1, one)]
+    assert len(closure(g)) == 60
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -313,6 +346,30 @@ def test_the_walk_refuses_every_element_outside_the_listing(alarm, kind, q):
         with pytest.raises(AssertionError, match=re.escape(
                 f"{g.name}: the powers of {y} miss")):
             g.power_positions(y)
+
+
+@pytest.mark.parametrize("kind,edit", [
+    # 0 + 0 sums to 1: the first conjugate of the first unipotent keeps a
+    # listed first row and its offset, but not the listed dependent entry
+    ("psl2", lambda g: g._sum[0].__setitem__(0, g.identity[0])),
+    # the sign rule flipped: the first conjugate is -z, whose first row
+    # leads no listed element
+    ("psl2", lambda g: setattr(g, "_leads", [not v for v in g._leads])),
+    # the field sums (0, 0, 1) reduce to the zero row: determinant 0
+    ("psl3", lambda g: g._mod3.__setitem__(1, 0)),
+], ids=["psl2-9-entry", "psl2-9-sign", "psl3-3"])
+def test_a_conjugate_outside_the_listing_fails_the_class_walk(alarm, kind,
+                                                               edit):
+    # the orders and the conjugators come from the true tables; a faulty
+    # conjugation then leaves the listing from the first order-p element,
+    # and the walk must name it, not grow the orbit with what it finds
+    g = PSL2(3).enumerate() if kind == "psl2" else PSL3().enumerate()
+    first = next(x for x, k in zip(g.elements, g.orders()) if k == g.p)
+    assert g._conjugators
+    edit(g)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"{g.name}: a conjugate of {first} is unlisted")):
+        g.order_p_classes()
 
 
 def test_a_faulty_mod3_table_fails_the_order_walks(alarm):
