@@ -10,7 +10,6 @@ check every class size against brute-force group enumeration.
 from __future__ import annotations
 
 import os
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -177,7 +176,8 @@ def _validate(t: TableSlice) -> TableSlice:
 
 
 def _integer(token: str) -> int:
-    if not re.fullmatch("-?[0-9]+", token):
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ValidationError(f"{token!r} is not a decimal integer")
     return int(token)
 

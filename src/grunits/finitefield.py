@@ -68,13 +68,18 @@ class Fq:
         self.t = self._smallest_nonresidue(p)
         self.zero: Elem = (0, 0)
         self.one: Elem = (1, 0)
-        self.squares: frozenset[Elem] = frozenset(
-            self.mul(y, y) for y in self.elements() if y != self.zero)
+        self.squares: frozenset[Elem] = frozenset(self._square_list())
         # exactly half the units are squares exactly when w^2 - t is
         # irreducible; over F_p x F_p the count is (p-1)(p+3)/4
         if len(self.squares) != (self.q - 1) // 2:
             raise AssertionError(f"w^2 - {self.t} is reducible over F_{p}: "
                                  f"F_p[w] is not a field")
+
+    def _square_list(self) -> list[Elem]:
+        """y*y for every y = a + b*w != 0, computed afresh."""
+        p, t, r = self.p, self.t, range(self.p)
+        return [((a * a + t * b * b) % p, 2 * a * b % p)
+                for a in r for b in r if a or b]
 
     @staticmethod
     def _smallest_nonresidue(p: int) -> int:
@@ -127,9 +132,8 @@ class Fq:
         it holds (q-1)/2 elements and every y*y, y != 0, and a field has
         exactly (q-1)/2 such squares."""
         squares = self.squares
-        if len(squares) != (self.q - 1) // 2 or any(
-                self.mul(y, y) not in squares
-                for y in self.elements() if y != self.zero):
+        if len(squares) != (self.q - 1) // 2 or not squares.issuperset(
+                self._square_list()):
             raise AssertionError(f"square table is not the subgroup of "
                                  f"squares of F_{self.q}^*")
 

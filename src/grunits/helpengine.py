@@ -21,7 +21,8 @@ In the closed form a linear character's multiplicity depends only on the
 count x of first-class subgroups and on how many of them its kernel
 holds (see :func:`_num`), so a scan turns the rows into one allowed set of
 intersection counts per x and tests an assignment, held as a bit mask, by
-the intersection count with each kernel mask.
+the intersection count with each kernel mask; at rank 3 a pruned search
+(:func:`_meets`) looks for one passing assignment of count x.
 """
 
 from __future__ import annotations
@@ -95,6 +96,29 @@ def _first_failure(rows, p: int, n: int, x: int, size: int, tests):
     return None
 
 
+def _meets(lines, allowed, x: int, left: int, chosen: int = 0,
+           count: int = 0, i: int = 0) -> bool:
+    """Whether some count-x mask, equal to `chosen` off the undecided
+    points `left`, meets every line from lines[i] on in a count from
+    `allowed`: depth first, each line's undecided points take a submask
+    that gives the line an allowed count, and a branch is cut where the
+    count passes x or can no longer reach it."""
+    if i == len(lines):
+        return True  # every line passed, and the count can still reach x
+    line = lines[i]
+    free, left = line & left, left & ~line
+    seen, spare, sub = (chosen & line).bit_count(), left.bit_count(), free
+    while True:
+        k = sub.bit_count()
+        if (seen + k in allowed and k <= x - count <= k + spare
+                and _meets(lines, allowed, x, left, chosen | sub,
+                           count + k, i + 1)):
+            return True
+        if not sub:
+            return False
+        sub = (sub - 1) & free
+
+
 def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                            class_ids: tuple[str, str]) -> dict:
     """Scan class-distribution counts x for HeLP feasibility; the report.
@@ -112,8 +136,9 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     the multiset of the subgroups' values, which depends on x alone, and
     one representative per x is the only candidate.
     For rank 3 that symmetry genuinely fails: kernel hyperplanes see the
-    geometry of the assigned point set, so every assignment with count x is
-    a candidate; when A(x) is empty none can pass and none is enumerated.
+    geometry of the assigned point set, so :func:`_meets` searches the
+    count-x assignments for one that passes; `assignments_checked`, given
+    only where none does, counts the comb(n, x) it ruled out.
     The report lists A(x) by x as `allowed_intersections` at rank 3 only
     (at rank 2 it is a subset of {0, 1}).
     x is feasible when its count passes and some candidate passes the
@@ -130,7 +155,6 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     n = len(kernels)  # as many kernels as cyclic subgroups
     size = p ** rank
     line_size = (p ** (rank - 1) - 1) // (p - 1)  # subgroups per kernel
-    bits = [1 << i for i in range(n)]
     exhaustive = rank == 3
     if exhaustive:
         notes = ["rank 3: the multiplicity of a kernel character sees "
@@ -138,7 +162,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                  "counts, so surviving counts are settled by exhausting "
                  "all assignments with that count"]
     else:
-        if sorted(lines) != bits:
+        if sorted(lines) != [1 << i for i in range(n)]:
             raise AssertionError("count symmetry failed for rank 2")
         notes = ["rank 2: representative assignments suffice "
                  "(count symmetry verified this run)"]
@@ -153,24 +177,15 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                    if _first_failure(rows, p, n, x, size,
                                      [("", m, line_size)]) is None]
         allowed_by_x.append(allowed)
-        kernel_ok = False
-        checked = comb(n, x)
-        if allowed:
-            candidates = (map(sum, itertools.combinations(bits, x))
-                          if exhaustive else [sum(bits[:x])])
-            for checked, mask in enumerate(candidates, 1):
-                for line in lines:
-                    if (mask & line).bit_count() not in allowed:
-                        break
-                else:
-                    kernel_ok = True
-                    break
+        first = (1 << x) - 1
+        kernel_ok = (_meets(lines, allowed, x, (1 << n) - 1) if exhaustive
+                     else all((first & line).bit_count() in allowed
+                              for line in lines))
         if kernel_ok:
             feasible_kernel.append(x)
             if count_fail is None:
                 feasible.append(x)
                 continue
-        first = (1 << x) - 1
         name, chi, m = count_fail or _first_failure(
             rows, p, n, x, size,
             [(chi, (first & line).bit_count(), line_size)
@@ -179,7 +194,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                  "multiplicity": format_rational(m)}
         if exhaustive and count_fail is None:
             entry["mode"] = "exhaustive"
-            entry["assignments_checked"] = checked
+            entry["assignments_checked"] = comb(n, x)
         witnesses.append(entry)
 
     if feasible != feasible_kernel:

@@ -136,6 +136,16 @@ def test_load_errors_name_the_line(tmp_path, damaged_psl33, monkeypatch):
         psl33_slice()
 
 
+# an optional "-" and ASCII digits only: "²" and "٣" pass str.isdigit()
+@pytest.mark.parametrize("token", ["+5", "-", "--1", "1_0", "²", "٣"])
+def test_load_table_rejects_non_decimal_tokens(token, tmp_path):
+    (tmp_path / "psl33.tbl").write_text(f"group X order {token}\n",
+                                        encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_table(str(tmp_path / "psl33.tbl"))
+    assert str(info.value) == f"line 1: {token!r} is not a decimal integer"
+
+
 @pytest.mark.parametrize("table", [psl2_slice(p) for p in (3, 5, 7, 11, 13)]
                          + [psl33_slice()], ids=lambda t: t.group)
 def test_slices_hold_only_int_values(table):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 from collections import Counter
@@ -285,28 +286,51 @@ def test_intersection_counts_decide_every_rank3_assignment(theta_set,
     assert passing == some_pass
 
 
-def test_rank3_scan_stops_at_the_first_passing_assignment(monkeypatch):
-    # the report never shows how many candidates follow a passing one, so
-    # count the assignments drawn per x against the row-by-row reference
-    real = itertools.combinations
-    drawn = Counter()
+def test_rank3_search_answers_as_the_full_enumeration():
+    """_meets on PG(2,3)'s 13 lines, against every count-x assignment: all
+    434 instances, x in 0..13 and every nonempty A in {0, .., 4}."""
+    lines = [sum(1 << i for i in inside)
+             for _e, inside in hyperplane_table(3, 3)]
+    meets_by_x = [[] for _ in range(14)]
+    for mask in range(1 << 13):
+        meets_by_x[mask.bit_count()].append(
+            [(mask & line).bit_count() for line in lines])
+    instances = [(x, allowed) for x in range(14) for r in range(1, 6)
+                 for allowed in itertools.combinations(range(5), r)]
+    assert len(instances) == 434
+    passing = 0
+    for x, allowed in instances:
+        expected = any(all(m in allowed for m in meets)
+                       for meets in meets_by_x[x])
+        found = helpengine._meets(lines, allowed, x, (1 << 13) - 1)
+        assert found == expected, (x, allowed)
+        passing += expected
+    assert 0 < passing < len(instances)
 
-    def counting(items, x):
-        for combo in real(items, x):
-            drawn[x] += 1
-            yield combo
 
-    monkeypatch.setattr(helpengine.itertools, "combinations", counting)
+def test_rank3_search_stops_at_the_first_passing_assignment(monkeypatch):
+    # a call past the last line is a leaf, an assignment that passes; the
+    # report never shows how many there are, so count them per x
+    real = helpengine._meets
+    signature = inspect.signature(real)
+    leaves = Counter()
+
+    def counting(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        if call.arguments["i"] == len(call.arguments["lines"]):
+            leaves[call.arguments["x"]] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(helpengine, "_meets", counting)
     scan = feasible_distributions(SYNTHETIC, 3, 3, ("a", "b"))
+    assert leaves == Counter(scan["feasible_kernel_only"])
     rows, hyperplanes = _int_rows(SYNTHETIC, ("a", "b")), hyperplane_table(3, 3)
-    first_pass = {}
-    for x in scan["feasible_kernel_only"]:
-        first_pass[x] = next(
-            k for k, subset in enumerate(real(range(13), x), 1)
-            if _check_flags(rows, [int(i in subset) for i in range(13)], 3,
-                            27, hyperplanes) is None)
-    assert {x: drawn[x] for x in first_pass} == first_pass
-    assert first_pass[3] not in (1, comb(13, 3))
+    passing = sum(
+        _check_flags(rows, [int(i in subset) for i in range(13)], 3, 27,
+                     hyperplanes) is None
+        for subset in itertools.combinations(range(13), 3))
+    assert leaves[3] == 1 < passing
 
 
 def _row_loop_scan(theta_set, p, rank, class_ids):
