@@ -11,11 +11,12 @@ block: the companion matrix A of Phi_p (E = A^0, and B = A^2 for PSL(3,3))
 or I_1 for the trivial block.  A group is therefore stored as exponent
 vectors: one exact power table [M^0, ..., M^(p-1)] per distinct base M,
 and for each generator the exponent of every block.  Elements are never
-multiplied out.  An element's block exponents are computed once; its
-identity is its key, the first index of each block's power table holding
-the same matrix, and its traces are sums of the tables' traces, kept as
-`int` because the tables hold integer matrices (`Fraction` only for a
-table that is not integral).  Only the power tables and their check use
+multiplied out, and nothing is kept per element: an element's block
+exponents are computed from its exponent vector on each call; its identity
+is its key, the first index of each block's power table holding the same
+matrix, and its traces are sums of the tables' traces, `int`s because the
+tables hold integer matrices (`Fraction` only for a table that is not
+integral).  Only the power tables and their check use
 real matrix products: verification multiplies every entry of each table
 by its base once, proving the table the cyclic group of its base (every
 entry the true power, M^p = I), so generators whose blocks are powers of
@@ -92,10 +93,11 @@ class UnitGroup:
     of each block's base.  `rank` is the number of generators r; the
     group has order p^r once `verify_unit_group` proves it faithful.
     Element (e_1, ..., e_r) has block exponents sum_i e_i * k_ij mod p,
-    computed once per element and kept, so its blocks are entries of the
+    computed on each call and not kept, so its blocks are entries of the
     power tables; `key` names it exactly and `traces` sums the tables'
     traces (`int`s, unless a table is not integral), both read off those
-    exponents.  The tables are built by real `QMatrix` products; that each
+    exponents.  The power tables, their traces and first indices are the
+    only state, one of each per distinct base.  The tables are built by real `QMatrix` products; that each
     holds the powers of its base and the exponents may be read mod p
     (M^p = I), so the generators commute, and that they are non-trivial
     and act faithfully is what `verify_unit_group` proves, so an
@@ -121,23 +123,21 @@ class UnitGroup:
         # per component, each block's exponents (k_1j, ..., k_rj)
         self._columns = {c: list(zip(*(gen[c] for gen in generator_exponents)))
                          for c in self.bases}
-        self._block_exponents: dict[tuple[int, ...], dict] = {}
+        # per distinct base, its power table, the trace of each power, and
+        # the first index of the table holding the same matrix, by exact
+        # `QMatrix` equality
         self.powers: dict[QMatrix, list[QMatrix]] = {}
+        self.power_traces, self.first = {}, {}
         for base in dict.fromkeys(b for bs in self.bases.values() for b in bs):
             tab = [QMatrix.identity(base.dim)]
             for _ in range(self.p - 1):
                 tab.append(tab[-1] * base)
-            self.powers[base] = tab
-        # per base, the trace of each power, and the first index of the
-        # table holding the same matrix, by exact `QMatrix` equality
-        self.power_traces = {}
-        for b, tab in self.powers.items():
             ts = [m.trace() for m in tab]
             # integer matrices have integer traces, whose sums stay in int
             integral = all(t.denominator == 1 for t in ts)
-            self.power_traces[b] = [t.numerator for t in ts] if integral else ts
-        self.first = {b: [tab.index(m) for m in tab]
-                      for b, tab in self.powers.items()}
+            self.powers[base] = tab
+            self.power_traces[base] = [t.numerator for t in ts] if integral else ts
+            self.first[base] = [tab.index(m) for m in tab]
         # the support hypothesis forces every other row, so only these
         # carry information about an element's partial augmentations
         self.solve_rows = [self.table.char_by_name(name)
@@ -149,16 +149,11 @@ class UnitGroup:
                                   f"separate classes {x} and {y}")
 
     def block_exponents(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-        """Per component, the exponent of each block's base; computed once
-        per element, so that its key and its traces share them."""
-        out = self._block_exponents.get(exps)
-        if out is None:
-            out = self._block_exponents[exps] = {
-                c: tuple(sum(e * k for e, k in zip(exps, col)) % self.p
+        """Per component, the exponent of each block's base, computed
+        afresh on each call: sum_i e_i * k_ij mod p."""
+        return {c: tuple(sum(e * k for e, k in zip(exps, col)) % self.p
                          for col in columns)
-                for c, columns in self._columns.items()
-            }
-        return out
+                for c, columns in self._columns.items()}
 
     def key(self, exps: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
         """Per component, the first power-table index of each block: two
@@ -305,8 +300,6 @@ def verify_unit_group(ug: UnitGroup) -> dict:
     on_class: dict[tuple[int, ...], str] = {}
     per_element = []
     counts = {xa: 0, xb: 0, "other": 0}
-    all_integral = True
-    all_mrsw = True
     for exps in ug.exponent_vectors():
         distinct.add(tuple(ug.key(exps).values()))
         if not any(exps):
@@ -319,8 +312,6 @@ def verify_unit_group(ug: UnitGroup) -> dict:
             continue
         integral = ea.denominator == 1  # and so is eb = 1 - ea
         mrsw = ea >= 0 and eb >= 0
-        all_integral &= integral
-        all_mrsw &= mrsw
         on_class[exps] = {(1, 0): xa, (0, 1): xb}.get((ea, eb), "other")
         counts[on_class[exps]] += 1
         per_element.append(
@@ -334,6 +325,8 @@ def verify_unit_group(ug: UnitGroup) -> dict:
                 "mrsw": mrsw,
             }
         )
+    all_integral = all(e["integral"] for e in per_element)
+    all_mrsw = all(e["mrsw"] for e in per_element)
     faithful = len(distinct) == p ** rank
     if not faithful:
         problems.append("distinguished components do not separate elements")
