@@ -137,8 +137,9 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     one representative per x is the only candidate.
     For rank 3 that symmetry genuinely fails: kernel hyperplanes see the
     geometry of the assigned point set, so :func:`_meets` searches the
-    count-x assignments for one that passes; `assignments_checked`, given
-    only where none does, counts the comb(n, x) it ruled out.
+    count-x assignments for one that passes; where none does, the witness
+    has `mode` "pruned-search" and `assignments_checked`, the comb(n, x)
+    assignments the search ruled out.
     The report lists A(x) by x as `allowed_intersections` at rank 3 only
     (at rank 2 it is a subset of {0, 1}).
     x is feasible when its count passes and some candidate passes the
@@ -155,12 +156,13 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     n = len(kernels)  # as many kernels as cyclic subgroups
     size = p ** rank
     line_size = (p ** (rank - 1) - 1) // (p - 1)  # subgroups per kernel
-    exhaustive = rank == 3
-    if exhaustive:
+    searched = rank == 3
+    if searched:
         notes = ["rank 3: the multiplicity of a kernel character sees "
                  "which subgroups its hyperplane contains, not just the "
-                 "counts, so surviving counts are settled by exhausting "
-                 "all assignments with that count"]
+                 "counts, so surviving counts are settled by a pruned "
+                 "search over the kernel lines for an assignment with that "
+                 "count"]
     else:
         if sorted(lines) != [1 << i for i in range(n)]:
             raise AssertionError("count symmetry failed for rank 2")
@@ -178,7 +180,7 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
                                      [("", m, line_size)]) is None]
         allowed_by_x.append(allowed)
         first = (1 << x) - 1
-        kernel_ok = (_meets(lines, allowed, x, (1 << n) - 1) if exhaustive
+        kernel_ok = (_meets(lines, allowed, x, (1 << n) - 1) if searched
                      else all((first & line).bit_count() in allowed
                               for line in lines))
         if kernel_ok:
@@ -192,8 +194,8 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
              for chi, line in kernels])
         entry = {"x": x, "theta": name, "chi": chi,
                  "multiplicity": format_rational(m)}
-        if exhaustive and count_fail is None:
-            entry["mode"] = "exhaustive"
+        if searched and count_fail is None:
+            entry["mode"] = "pruned-search"
             entry["assignments_checked"] = comb(n, x)
         witnesses.append(entry)
 
@@ -205,6 +207,6 @@ def feasible_distributions(theta_set: list[CharSlice], p: int, rank: int,
     report = {"p": p, "rank": rank, "classes": list(class_ids),
               "feasible": feasible, "feasible_kernel_only": feasible_kernel,
               "witnesses": witnesses, "notes": notes}
-    if exhaustive:
+    if searched:
         report["allowed_intersections"] = allowed_by_x
     return report

@@ -137,7 +137,7 @@ def test_psl33_x7_needs_exhaustion():
     t = psl33_slice()
     scan = feasible_distributions(list(t.chars), 3, 3, ("a", "b"))
     w7 = next(w for w in scan["witnesses"] if w["x"] == 7)
-    assert w7.get("mode") == "exhaustive"
+    assert w7.get("mode") == "pruned-search"
     assert w7["assignments_checked"] == 1716
 
 
@@ -238,7 +238,7 @@ def test_psl33_witnesses_pinned():
     expected = [{"x": x, "theta": "chi12", "chi": "trivial", "multiplicity": m}
                 for x, m in trivial.items()]
     expected.insert(7, {"x": 7, "theta": "chi12", "chi": "ker=0,0,1",
-                        "multiplicity": "1/3", "mode": "exhaustive",
+                        "multiplicity": "1/3", "mode": "pruned-search",
                         "assignments_checked": 1716})
     assert scan["witnesses"] == expected
     assert scan["feasible"] == scan["feasible_kernel_only"] == []
@@ -372,14 +372,14 @@ def _row_loop_scan(theta_set, p, rank, class_ids):
         entry = {"x": x, "theta": name, "chi": chi,
                  "multiplicity": format_rational(m)}
         if exhaustive and count_fail is None:
-            entry["mode"] = "exhaustive"
+            entry["mode"] = "pruned-search"
             entry["assignments_checked"] = checked
         witnesses.append(entry)
     notes = [
         "rank 3: the multiplicity of a kernel character sees which "
         "subgroups its hyperplane contains, not just the counts, so "
-        "surviving counts are settled by exhausting all assignments with "
-        "that count" if exhaustive else
+        "surviving counts are settled by a pruned search over the kernel "
+        "lines for an assignment with that count" if exhaustive else
         "rank 2: representative assignments suffice "
         "(count symmetry verified this run)"]
     if feasible != feasible_kernel:
