@@ -16,11 +16,11 @@ exponents are computed from its exponent vector on each call; its identity
 is its key, the first index of each block's power table holding the same
 matrix, and its traces are sums of the tables' traces, `int`s because the
 tables hold integer matrices (`Fraction` only for a table that is not
-integral).  Only the power tables and their check use
-real matrix products: verification multiplies every entry of each table
-by its base once, proving the table the cyclic group of its base (every
-entry the true power, M^p = I), so generators whose blocks are powers of
-one base commute without products of their own.  Verification proves the
+integral).  Only the power tables and their check use real matrix
+products: verification multiplies every entry of each table by its base
+once, proving the table the cyclic group of its base (every entry the
+true power, M^p = I), so generators whose blocks are powers of one base
+commute without products of their own.  Verification proves the
 premises that make the exponent arithmetic exact (cyclic tables, generators
 non-trivial, the representation faithful), deciding non-triviality and
 faithfulness on keys.  Then, in one pass over the elements, it recovers
@@ -97,12 +97,12 @@ class UnitGroup:
     power tables; `key` names it exactly and `traces` sums the tables'
     traces (`int`s, unless a table is not integral), both read off those
     exponents.  The power tables, their traces and first indices are the
-    only state, one of each per distinct base.  The tables are built by real `QMatrix` products; that each
-    holds the powers of its base and the exponents may be read mod p
-    (M^p = I), so the generators commute, and that they are non-trivial
-    and act faithfully is what `verify_unit_group` proves, so an
-    inconsistent presentation makes the verification fail rather than the
-    elements silently wrong.
+    only state, one of each per distinct base.  The tables are built by
+    real `QMatrix` products; that each holds the powers of its base and the
+    exponents may be read mod p (M^p = I), so the generators commute, and
+    that they are non-trivial and act faithfully is what
+    `verify_unit_group` proves, so an inconsistent presentation makes the
+    verification fail rather than the elements silently wrong.
     """
 
     def __init__(self, table: TableSlice, p: int, support: tuple[str, str],

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import report_digests
 from conftest import PSL33_DAMAGES
 
 import grunits
@@ -198,21 +199,10 @@ def _argparse_vars(parser, argv):
 def test_exact_parse_takes_every_benchmark_argv():
     # every command the benchmark generates must skip argparse, with the
     # --json PATH its child process appends and without it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(grunits.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json, random, sys; "
-         "sys.path[:0] = sys.argv[1:]; import run; "
-         "print(json.dumps(sorted({op.argv for seed in range(40) "
-         "for workload in run.WORKLOADS.values() "
-         "for phase in workload(random.Random(seed)) for op in phase})))",
-         os.path.join(os.path.dirname(src), "perfbench")],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    argvs = json.loads(proc.stdout)
+    argvs = report_digests.benchmark_argvs()
     assert {argv[0] for argv in argvs} == set(_COMMANDS)
     parser = build_parser()
-    for argv in argvs:
+    for argv in map(list, argvs):
         for full in (argv, argv + ["--json", "r.json"]):
             args = _parse_exact(full)
             assert args is not None, full
