@@ -13,8 +13,11 @@ the benchmark does not run, under "ci".  Each runs once, in this one
 process, as `grunits.cli.main(argv + ["--json", PATH])`, as the benchmark
 runs it.  Its digest is its exit code and the sha256 of its report without
 the `wall_clock_s` line (null when no report was written), of its stdout
-and of its stderr.  GRS_DATA_DIR is dropped from the environment, so the
-digests are of the shipped character table.
+and of its stderr.  GRS_DATA_DIR is dropped from the environment, so these
+digests are of the shipped character table.  Under "table_faults", as
+"FAULT: COMMAND", each command that reads the PSL(3,3) table runs with
+GRS_DATA_DIR at a directory holding the table damaged by FAULT, for every
+fault and command of tests/table_faults.py.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import table_faults
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("report_digests.json")
@@ -85,6 +90,23 @@ def digest(argv) -> dict:
             "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
 
 
+def fault_digest(fault: str, argv) -> dict:
+    """`digest` with GRS_DATA_DIR at a directory holding the table that
+    `fault` damages; the environment is restored after."""
+    old = os.environ.get("GRS_DATA_DIR")
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "psl33.tbl").write_text(table_faults.damaged(fault),
+                                          encoding="utf-8")
+        os.environ["GRS_DATA_DIR"] = tmp
+        try:
+            return digest(argv)
+        finally:
+            if old is None:
+                del os.environ["GRS_DATA_DIR"]
+            else:
+                os.environ["GRS_DATA_DIR"] = old
+
+
 def load() -> dict:
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
@@ -94,8 +116,12 @@ def compute() -> dict:
     bench = benchmark_argvs()
     groups = {"benchmark": sorted(bench),
               "ci": [argv for argv in CI_COMMANDS if argv not in bench]}
-    return {group: {" ".join(argv): digest(argv) for argv in argvs}
-            for group, argvs in groups.items()}
+    digests = {group: {" ".join(argv): digest(argv) for argv in argvs}
+               for group, argvs in groups.items()}
+    digests["table_faults"] = {
+        f"{fault}: {' '.join(argv)}": fault_digest(fault, argv)
+        for fault in table_faults.EDITS for argv in table_faults.COMMANDS}
+    return digests
 
 
 def main(args: list[str]) -> int:

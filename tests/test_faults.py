@@ -17,65 +17,41 @@ the fault: a blind spot is then a written-down cell, and the change that
 closes one flips it here.
 """
 
-import re
-
 import pytest
 
+import table_faults
 from grunits import cli
-from grunits.chardata import data_dir
 from grunits.cli import main
 from grunits.constructions import UnitGroup
 from grunits.finitefield import Fq, fq_make
 from grunits.matrices import QMatrix
 from grunits.oracle import PSL2, PSL3
 
-COMMANDS = [
-    ["chartab", "--group", "psl33"],
-    ["help-scan", "--group", "psl33"],
-    ["construct", "psl33"],
-    ["construct", "psl33", "--verify"],
-    ["invariants"],
-    ["oracle", "--group", "psl3"],
-]
+COMMANDS = [*table_faults.COMMANDS, ["oracle", "--group", "psl3"]]
 
 NO_TABLE = "oracle enumerates PSL(3,3) from matrices and reads no table"
 NOT_ORTHOGONAL = "invalid: orthogonality fails: "
 
-# fault -> (edit of the table text, one cell per command)
+# fault of tests/table_faults.py -> one cell per command
 FAULTS = {
-    "b-negated": (
-        lambda text: re.sub(r"^(char .* )(\S+)$",
-                            lambda m: f"{m[1]}{-int(m[2])}", text, flags=re.M),
+    "b-negated":
         ["chartab checks orthogonality, which negating a column preserves",
          "help-scan expects no feasible x for PSL(3,3), and the negated "
          "values leave none either",
-         "fails", "fails", "fails", NO_TABLE]),
-    "ab-values-swapped": (
-        lambda text: re.sub(r"^(char .* )(\S+) (\S+)$", r"\1\3 \2", text,
-                            flags=re.M),
-        [NOT_ORTHOGONAL] * 5 + [NO_TABLE]),
-    "ab-sizes-swapped": (
-        lambda text: text.replace("class a 3 104", "class a 3 624")
-                         .replace("class b 3 624", "class b 3 104"),
-        [NOT_ORTHOGONAL] * 5 + [NO_TABLE]),
-    # values and sizes swapped together: the same table under other names
-    "ab-relabelled": (
-        lambda text: re.sub(r"^class ([ab]) ",
-                            lambda m: f"class {'ba'['ab'.index(m[1])]} ",
-                            text, flags=re.M),
+         "fails", "fails", "fails", NO_TABLE],
+    "ab-values-swapped": [NOT_ORTHOGONAL] * 5 + [NO_TABLE],
+    "ab-sizes-swapped": [NOT_ORTHOGONAL] * 5 + [NO_TABLE],
+    "ab-relabelled":
         ["invalid: PSL(3,3) table lacks class a of order 3 and size 104"] * 5
-        + [NO_TABLE]),
+        + [NO_TABLE],
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_matrix(fault, tmp_path, monkeypatch, capsys):
-    edit, cells = FAULTS[fault]
-    with open(f"{data_dir()}/psl33.tbl", encoding="utf-8") as fh:
-        text = fh.read()
-    damaged = edit(text)
-    assert damaged != text
-    (tmp_path / "psl33.tbl").write_text(damaged, encoding="utf-8")
+    cells = FAULTS[fault]
+    (tmp_path / "psl33.tbl").write_text(table_faults.damaged(fault),
+                                        encoding="utf-8")
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     assert _outcomes(COMMANDS, cells, capsys) == cells
 
