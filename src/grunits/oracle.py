@@ -36,7 +36,8 @@ list of orders.
 Conjugacy orbits are lists of positions too (`orbit_positions`), walked
 breadth first under conjugation by two generators: x(1) and y(1 + w) for
 PSL(2,p^2), I + E_12 and the 3-cycle permutation matrix for PSL(3,3).
-Each pair (g^-1, g) is found once per group with `mul`; each conjugate
+Each pair (g^-1, g) is found once per group: g^-1 is the power of g just
+before the identity, read off g's own power walk.  Each conjugate
 g^-1 y g is `mul` inlined, with the pair's rows bound once, and its
 position is read off the layout, so a conjugate outside the listing raises
 an AssertionError naming y.  Every power walk stops after the group order
@@ -74,7 +75,8 @@ class GroupOracle:
     `expected_order`, `expected_exponent` and `expected_class_sizes` (of
     the order-p classes, in increasing order), `identity`, `generators`
     (two elements that generate the group, the conjugators of every
-    orbit), the product `mul`, which returns the canonical representative,
+    orbit), the product `mul`, which returns the canonical representative
+    and is the reference the tests pin the walks below to,
     `generate`, which lists the group in increasing order and records its
     layout, `power_positions(x)`, the positions in `elements` of x, x^2,
     ..., up to the identity, read off that layout: the `_no_identity(x)`
@@ -136,20 +138,13 @@ class GroupOracle:
 
     @cached_property
     def _conjugators(self) -> list[tuple]:
-        # (g^-1, g) per generator, found once per group: g^-1 is the last
-        # power of g before the identity, so the generators alone give the
-        # whole orbit
-        mul, pairs = self.mul, []
-        for g in self.generators:
-            ginv = g
-            for _ in range(self.expected_order):
-                if (nxt := mul(ginv, g)) == self.identity:
-                    break
-                ginv = nxt
-            else:
-                raise self._no_identity(g)
-            pairs.append((ginv, g))
-        return pairs
+        # (g^-1, g) per generator, found once per group, so the generators
+        # alone give the whole orbit: g^-1 is the power of g just before the
+        # identity, read off g's own power walk, which names g when a faulty
+        # product keeps its powers from the identity
+        listed = self.elements
+        return [(listed[self.power_positions(g)[-2]], g)
+                for g in self.generators]
 
     def _left_listing(self, x) -> AssertionError:
         return AssertionError(f"{self.name}: a conjugate of {x} is unlisted")

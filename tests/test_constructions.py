@@ -209,6 +209,18 @@ def test_psl33_exponent_vectors_match_products():
     _assert_matches_reference(build_psl33_units(), _psl33_generators())
 
 
+@pytest.mark.parametrize("p,members", [
+    (3, {1}), (5, {1, 2}), (7, {1, 2, 4}), (11, {1, 2, 3, 5, 9}),
+    (13, {1, 2, 3, 4, 5, 9}), (3, None)])
+def test_every_power_table_entry_is_an_integer(p, members):
+    # every base is I_1 or the companion matrix of Phi_p, which is monic, so
+    # no entry of any power leaves Z: the premise for keeping entries as ints
+    ug = build_psl33_units() if members is None else build_psl2_units(p, members)
+    assert ug.powers
+    assert all(x.denominator == 1 for tab in ug.powers.values()
+               for m in tab for row in m.rows for x in row)
+
+
 def test_keys_identify_generators_differing_only_in_the_trivial_block():
     # u' is u with exponent 1 on the 1x1 identity block: the 25 raw block
     # exponent tuples name only the 5 powers of u, and so must the keys
