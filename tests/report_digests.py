@@ -92,8 +92,7 @@ def digest(argv) -> dict:
 
 def fault_digest(fault: str, argv) -> dict:
     """`digest` with GRS_DATA_DIR at a directory holding the table that
-    `fault` damages; the environment is restored after."""
-    old = os.environ.get("GRS_DATA_DIR")
+    `fault` damages; GRS_DATA_DIR is dropped again after."""
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "psl33.tbl").write_text(table_faults.damaged(fault),
                                           encoding="utf-8")
@@ -101,10 +100,7 @@ def fault_digest(fault: str, argv) -> dict:
         try:
             return digest(argv)
         finally:
-            if old is None:
-                del os.environ["GRS_DATA_DIR"]
-            else:
-                os.environ["GRS_DATA_DIR"] = old
+            del os.environ["GRS_DATA_DIR"]
 
 
 def load() -> dict:
