@@ -16,8 +16,9 @@ its tests passes.  The gate fails when a mutant survives, or when its old
 text does not occur exactly once in its file, so that a refactor which
 moves a check leaves the list failing, not silently stale.  The fault
 matrix in tests/test_faults.py covers faulty data and presentations; this
-gate covers faulty code.  The copy holds no perfbench/, so the tests that
-read the benchmark fail on every copy and are named by no mutant.
+gate covers faulty code.  The copy holds no perfbench/ and no .github/, so
+the tests that read the benchmark or the CI workflow fail on every copy and
+are named by no mutant.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ MUTANTS = [
             "tests/test_oracle.py::"
             "test_square_criterion_checks_its_square_table_first",
             "tests/test_faults.py::test_square_table_fault_matrix")),
+    # the square table checked by its size alone
+    Mutant("square-premise-size-only", "src/grunits/finitefield.py",
+           " or not squares.issuperset(\n                self._square_list())",
+           "",
+           ("tests/test_patterns.py::"
+            "test_realizers_reject_a_table_that_is_not_the_squares[7]",
+            "tests/test_patterns.py::"
+            "test_realizers_reject_a_table_that_is_not_the_squares[11]")),
     # reports written in insertion order, not sorted by key
     Mutant("report-keys-unsorted", "src/grunits/cli.py",
            "sorted(obj.items())", "obj.items()",
@@ -126,6 +135,23 @@ MUTANTS = [
            ("tests/test_oracle.py::test_a_wrong_dependent_entry_fails_the_walk",
             "tests/test_oracle.py::"
             "test_the_walk_refuses_every_element_outside_the_listing[psl2-9]")),
+    # two product rows of a PSL(2,p^2) matrix swapped
+    Mutant("psl2-product-rows-swapped", "src/grunits/oracle.py",
+           "prod[a], prod[b]", "prod[b], prod[a]",
+           ("tests/test_oracle.py::test_orders_match_element_order[psl2-9]",
+            "tests/test_oracle.py::"
+            "test_listing_by_determinant_equals_closure[psl2-25]")),
+    # an unlisted row marked -1, so an offset added to it can land on a
+    # listed position
+    Mutant("unlisted-is-minus-one", "src/grunits/oracle.py",
+           "UNLISTED = -2 * ORDER_CAP", "UNLISTED = -1",
+           ("tests/test_oracle.py::"
+            "test_the_walk_refuses_every_element_outside_the_listing[psl2-9]",
+            "tests/test_oracle.py::"
+            "test_the_walk_refuses_every_element_outside_the_listing[psl3-3]",
+            "tests/test_oracle.py::"
+            "test_a_conjugate_outside_the_listing_fails_the_class_walk"
+            "[psl3-3]")),
     # each generator paired with the identity instead of its inverse
     Mutant("conjugator-is-identity", "src/grunits/oracle.py",
            "power_positions(g)[-2]", "power_positions(g)[-1]",

@@ -94,9 +94,7 @@ def fault_digest(fault: str, argv) -> dict:
     """`digest` with GRS_DATA_DIR at a directory holding the table that
     `fault` damages; GRS_DATA_DIR is dropped again after."""
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "psl33.tbl").write_text(table_faults.damaged(fault),
-                                          encoding="utf-8")
-        os.environ["GRS_DATA_DIR"] = tmp
+        os.environ["GRS_DATA_DIR"] = str(table_faults.write(fault, tmp))
         try:
             return digest(argv)
         finally:

@@ -1,9 +1,8 @@
-import os
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import PSL33_DAMAGES
+import table_faults
 
 from grunits.chardata import (
     PSL33_ORDER3,
@@ -87,10 +86,10 @@ def test_psl33_mixed_rows_and_decomposition():
     assert mixed_value_decomposition(t, "a", "b", "chi12", "chi16a") is True
 
 
-def test_decomposition_fails_when_base_rows_do_not_separate(renamed_psl33):
+def test_decomposition_fails_when_base_rows_do_not_separate(tmp_path):
     # chi12 and chi16a name rows equal on a and b: no multiple of them
     # accounts for another row's imbalance, whatever n1 and n2 are
-    t = load_table(renamed_psl33("swapped-names") / "psl33.tbl")
+    t = load_table(table_faults.write("swapped-names", tmp_path) / "psl33.tbl")
     assert validate_orthogonality(t)["ok"]
     assert mixed_value_decomposition(t, "a", "b", "chi12", "chi16a") is False
 
@@ -114,23 +113,24 @@ def test_load_table_rejects_bad_orthogonality(tmp_path):
 
 
 # psl33_slice must raise a ValidationError on a header whose order is not a
-# number and on each of conftest's PSL33_DAMAGES
-LOAD_ERRORS = ("order-not-a-number", *PSL33_DAMAGES)
+# number and on each load error of tests/table_faults.py
+LOAD_ERRORS = ("order-not-a-number", *table_faults.LOAD_ERRORS)
 
 
 @pytest.mark.parametrize("damage", LOAD_ERRORS)
-def test_load_table_parse_error(damage, tmp_path, damaged_psl33, monkeypatch):
+def test_load_table_parse_error(damage, tmp_path, monkeypatch):
     if damage == "order-not-a-number":
         (tmp_path / "psl33.tbl").write_text("group X order notanumber\n")
     else:
-        damaged_psl33(damage)
+        table_faults.write(damage, tmp_path)
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     with pytest.raises(ValidationError):
         psl33_slice()
 
 
-def test_load_errors_name_the_line(tmp_path, damaged_psl33, monkeypatch):
-    monkeypatch.setenv("GRS_DATA_DIR", str(damaged_psl33("non-integral")))
+def test_load_errors_name_the_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRS_DATA_DIR",
+                       str(table_faults.write("non-integral", tmp_path)))
     with pytest.raises(ValidationError,
                        match="^line 12: '27/23' is not a decimal integer$"):
         psl33_slice()
@@ -155,10 +155,7 @@ def test_slices_hold_only_int_values(table):
 
 
 def test_grs_data_dir_env(tmp_path, monkeypatch):
-    import shutil
-    from grunits.chardata import data_dir
-    src = os.path.join(data_dir(), "psl33.tbl")
-    shutil.copy(src, tmp_path / "psl33.tbl")
+    (tmp_path / "psl33.tbl").write_bytes(table_faults.SHIPPED.read_bytes())
     monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
     t = psl33_slice()
     assert t.group_order == 5616

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import report_digests
-from conftest import PSL33_DAMAGES
+import table_faults
 
 import grunits
 from grunits import constructions
@@ -127,13 +127,9 @@ def test_construct_without_verify_reports_a_failed_verdict(
         tmp_path, monkeypatch, capsys):
     # the b column negated keeps every column orthogonal, but chi16a then
     # contradicts the (eps_a, eps_b) that chi12 gives, with or without --verify
-    with open(os.path.join(data_dir(), "psl33.tbl"), encoding="utf-8") as fh:
-        text = fh.read()
-    (tmp_path / "psl33.tbl").write_text(re.sub(
-        r"^(char .*) (\S+)$", lambda m: f"{m[1]} {-int(m[2])}", text,
-        flags=re.M))
+    damaged = table_faults.write("b-negated", tmp_path)
     out = tmp_path / "r.json"
-    for data, code, count in [(tmp_path, 1, 8), (data_dir(), 0, 26)]:
+    for data, code, count in [(damaged, 1, 8), (data_dir(), 0, 26)]:
         monkeypatch.setenv("GRS_DATA_DIR", str(data))
         for verify in ([], ["--verify"]):
             assert main(["construct", "psl33", *verify,
@@ -547,51 +543,43 @@ def test_bad_prime_is_usage_error(argv, tmp_path):
 
 def test_validation_failure_exit_code(tmp_path, monkeypatch):
     # a corrupted shipped table must surface as exit 1 via chartab
-    import shutil
-    from grunits.chardata import data_dir
-    src = data_dir()
-    bad = tmp_path / "psl33.tbl"
-    text = open(f"{src}/psl33.tbl", encoding="utf-8").read()
-    bad.write_text(text.replace("chi12 12 12 3 0", "chi12 12 12 0 3"))
-    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    monkeypatch.setenv("GRS_DATA_DIR",
+                       str(table_faults.write("chi12-ab-swapped", tmp_path)))
     assert main(["chartab", "--group", "psl33"]) == 1
 
 
-@pytest.mark.parametrize("edit", ["renamed-row", "swapped-names"])
-@pytest.mark.parametrize("argv", [["construct", "psl33", "--verify"],
-                                  ["invariants"]])
-def test_table_without_separating_rows_is_a_validation_failure(
-        argv, edit, renamed_psl33, tmp_path):
-    # orthogonality still holds, so only the rows' lookup and the check
-    # that they separate a and b can reject the table
+def _validation_failure(argv, edit, tmp_path):
+    """Run `argv` in a subprocess on the table damaged by `edit`: it must
+    exit 1 with a validation failure and no traceback."""
     proc = subprocess.run(
         [sys.executable, "-m", "grunits.cli", *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "HOME": str(tmp_path),
-             "GRS_DATA_DIR": str(renamed_psl33(edit))},
+             "GRS_DATA_DIR": str(table_faults.write(edit, tmp_path))},
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("validation failure: ")
 
 
-@pytest.mark.parametrize("damage", PSL33_DAMAGES)
+@pytest.mark.parametrize("edit", table_faults.RENAMES)
+@pytest.mark.parametrize("argv", [["construct", "psl33", "--verify"],
+                                  ["invariants"]])
+def test_table_without_separating_rows_is_a_validation_failure(
+        argv, edit, tmp_path):
+    # orthogonality still holds, so only the rows' lookup and the check
+    # that they separate a and b can reject the table
+    _validation_failure(argv, edit, tmp_path)
+
+
+@pytest.mark.parametrize("damage", table_faults.LOAD_ERRORS)
 @pytest.mark.parametrize("argv", [["chartab", "--group", "psl33"],
                                   ["help-scan", "--group", "psl33"],
                                   ["construct", "psl33", "--verify"],
                                   ["invariants"]],
                          ids=["chartab", "help-scan", "construct", "invariants"])
-def test_damaged_table_is_a_validation_failure(argv, damage, damaged_psl33,
-                                               tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "grunits.cli", *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "HOME": str(tmp_path),
-             "GRS_DATA_DIR": str(damaged_psl33(damage))},
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("validation failure: ")
+def test_damaged_table_is_a_validation_failure(argv, damage, tmp_path):
+    _validation_failure(argv, damage, tmp_path)
 
 
 @pytest.mark.parametrize("argv", [

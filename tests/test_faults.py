@@ -17,6 +17,8 @@ the fault: a blind spot is then a written-down cell, and the change that
 closes one flips it here.
 """
 
+import re
+
 import pytest
 
 import table_faults
@@ -32,7 +34,7 @@ COMMANDS = [*table_faults.COMMANDS, ["oracle", "--group", "psl3"]]
 NO_TABLE = "oracle enumerates PSL(3,3) from matrices and reads no table"
 NOT_ORTHOGONAL = "invalid: orthogonality fails: "
 
-# fault of tests/table_faults.py -> one cell per command
+# fault-matrix fault of tests/table_faults.py -> one cell per command
 FAULTS = {
     "b-negated":
         ["chartab checks orthogonality, which negating a column preserves",
@@ -47,13 +49,34 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("fault", table_faults.FAULT_MATRIX)
 def test_fault_matrix(fault, tmp_path, monkeypatch, capsys):
     cells = FAULTS[fault]
-    (tmp_path / "psl33.tbl").write_text(table_faults.damaged(fault),
-                                        encoding="utf-8")
-    monkeypatch.setenv("GRS_DATA_DIR", str(tmp_path))
+    monkeypatch.setenv("GRS_DATA_DIR",
+                       str(table_faults.write(fault, tmp_path)))
     assert _outcomes(COMMANDS, cells, capsys) == cells
+
+
+# repeated-row's own part puts the chi16a line on two lines
+@pytest.mark.parametrize("part", [
+    b"char chi99 1 1 1 1", b"char chi16a 16 16 -2 1",
+    re.compile(rb"^char chi99 ", re.M)],
+    ids=["line-missing", "line-twice", "regex-missing"])
+def test_every_part_of_an_edit_must_hit(part, monkeypatch):
+    edit = [*table_faults.EDITS["repeated-row"], (part, b"")]
+    monkeypatch.setitem(table_faults.EDITS, "partial", edit)
+    with pytest.raises(ValueError, match=r"^partial: .* matches [02] lines$"):
+        table_faults.damaged("partial")
+
+
+def test_ci_writes_its_damaged_tables_with_table_faults():
+    ci = (table_faults.ROOT / ".github/workflows/tier1.yml").read_text(
+        encoding="utf-8")
+    names = re.findall(r"python3 tests/table_faults\.py (\S+)", ci)
+    assert names and set(names) <= set(table_faults.EDITS), names
+    # no sed or awk on a psl33.tbl, no redirection from the shipped one
+    assert not re.search(r"\b(sed|awk)\b.*psl33\.tbl|data/psl33\.tbl\s*>"
+                         r"|<\s*\S*data/psl33\.tbl", ci)
 
 
 def _outcomes(commands, cells, capsys) -> list:
